@@ -6,13 +6,11 @@
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- table1 figure3 perf
 
-   Campaign results are cached as CSV under _artifacts/ so re-running
-   reports is cheap; delete the directory to force fresh campaigns. *)
+   Campaign-backed artifacts publish their cells to the engine's result
+   store under _artifacts/, so re-running reports is cheap; delete the
+   directory to force fresh campaigns. *)
 
 let cache_dir = "_artifacts"
-
-let ensure_cache_dir () =
-  if not (Sys.file_exists cache_dir) then Sys.mkdir cache_dir 0o755
 
 let progress label ~done_ ~total ~tally =
   if done_ = total || done_ mod 500 = 0 then begin
@@ -31,88 +29,29 @@ let section title =
 (* Campaign-backed data (cached)                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The Figure-2 pairs as one campaign matrix: cached cells load from
-   their CSV, every missing cell runs through a single shared
-   Engine.run_matrix (catalogue-journaled under _artifacts/, so an
-   interrupted regeneration resumes shard-exact). *)
+(* Campaign-backed artifacts conduct their cells through one engine
+   matrix journaled and published under _artifacts/: a repeat run
+   replays every finished cell from the result store, whose key digests
+   the program image, so a changed kernel is a miss and never a stale
+   hit; an interrupted regeneration resumes shard-exact. *)
+let stored_scans specs =
+  let policy =
+    Spec.make_policy ~resume:true ~catalogue:cache_dir ~cache:cache_dir ()
+  in
+  List.map Engine.scan_exn
+    (Engine.run_matrix_results ~jobs:(Pool.default_jobs ())
+       ~progress:(fun spec -> progress (Spec.label spec))
+       (List.map (fun (s : Spec.t) -> { s with Spec.policy }) specs))
+
+(* The Figure-2 pairs as [(name, baseline scan, SUM+DMR scan)]. *)
 let paper_scans =
   lazy
-    (ensure_cache_dir ();
-     let policy = Spec.make_policy ~resume:true ~catalogue:cache_dir () in
-     let cells =
-       List.concat_map
-         (fun (name, baseline, hardened) ->
-           [ (name, "baseline", baseline); (name, "sum+dmr", hardened) ])
-         Suite.paper_pairs
-     in
-     let cache_path name variant =
-       Filename.concat cache_dir (Printf.sprintf "%s-%s.csv" name variant)
-     in
-     let cached =
-       List.map
-         (fun (name, variant, _) ->
-           if Sys.file_exists (cache_path name variant) then
-             match Csv_io.load (cache_path name variant) with
-             | Ok scan -> Some scan
-             | Error _ -> None
-           else None)
-         cells
-     in
-     let missing =
-       List.filter_map
-         (fun ((name, variant, build), c) ->
-           if c = None then
-             Some (Spec.memory ~variant ~policy ~benchmark:name build)
-           else None)
-         (List.combine cells cached)
-     in
-     let fresh =
-       if missing = [] then []
-       else
-         Engine.run_matrix ~jobs:(Pool.default_jobs ())
-           ~progress:(fun spec -> progress (Spec.label spec))
-           missing
-     in
-     let fresh = ref fresh in
-     let scans =
-       List.map2
-         (fun (name, variant, _) c ->
-           match c with
-           | Some scan -> scan
-           | None ->
-               let scan = List.hd !fresh in
-               fresh := List.tl !fresh;
-               (try Csv_io.save (cache_path name variant) scan
-                with Sys_error _ -> () (* cache is best-effort *));
-               scan)
-         cells cached
-     in
-     let rec pair_up = function
-       | (name, _, _) :: _ :: rest, sb :: sh :: scans ->
-           (name, sb, sh) :: pair_up (rest, scans)
+    (let rec pair_up = function
+       | (name, _, _) :: pairs, sb :: sh :: scans ->
+           (name, sb, sh) :: pair_up (pairs, scans)
        | _ -> []
      in
-     pair_up (cells, scans))
-
-let extra_scan ~name ~variant build =
-  ensure_cache_dir ();
-  let path = Filename.concat cache_dir (Printf.sprintf "%s-%s.csv" name variant) in
-  if Sys.file_exists path then
-    match Csv_io.load path with
-    | Ok scan -> scan
-    | Error _ ->
-        let scan = Scan.pruned ~variant (Golden.run (build ())) in
-        Csv_io.save path scan;
-        scan
-  else begin
-    let scan =
-      Scan.pruned ~variant
-        ~progress:(progress (name ^ "/" ^ variant))
-        (Golden.run (build ()))
-    in
-    Csv_io.save path scan;
-    scan
-  end
+     pair_up (Suite.paper_pairs, stored_scans (Suite.paper_specs ())))
 
 (* ------------------------------------------------------------------ *)
 (* Artifacts                                                          *)
@@ -193,32 +132,17 @@ let run_ratios () =
 
 let run_ablation () =
   section "X2 | Hardening ablation: baseline vs SUM+DMR vs TMR";
-  let entries =
+  let specs =
     List.concat_map
-      (fun (benchmark, builders) ->
-        List.map
-          (fun (variant, build) ->
-            ( Printf.sprintf "%s/%s" benchmark variant,
-              extra_scan ~name:benchmark ~variant build ))
-          builders)
-      [
-        ( "bin_sem2",
-          [ ("baseline", fun () -> Bin_sem2.baseline ());
-            ("sum+dmr", fun () -> Bin_sem2.sum_dmr ());
-            ("tmr", fun () -> Bin_sem2.tmr ()) ] );
-        ( "mutex1",
-          [ ("baseline", fun () -> Mutex1.baseline ());
-            ("sum+dmr", fun () -> Mutex1.sum_dmr ());
-            ("tmr", fun () -> Mutex1.tmr ()) ] );
-        ( "mbox1",
-          [ ("baseline", fun () -> Mbox1.baseline ());
-            ("sum+dmr", fun () -> Mbox1.sum_dmr ());
-            ("tmr", fun () -> Mbox1.tmr ()) ] );
-        ( "flag1",
-          [ ("baseline", fun () -> Flag1.baseline ());
-            ("sum+dmr", fun () -> Flag1.sum_dmr ());
-            ("tmr", fun () -> Flag1.tmr ()) ] );
-      ]
+      (fun benchmark ->
+        List.filter_map
+          (fun variant ->
+            Option.map Suite.spec_of (Suite.find ~benchmark ~variant))
+          [ Suite.Baseline; Suite.Sum_dmr; Suite.Tmr ])
+      [ "bin_sem2"; "mutex1"; "mbox1"; "flag1" ]
+  in
+  let entries =
+    List.combine (List.map Spec.label specs) (stored_scans specs)
   in
   print_string (Figures.ablation entries);
   (* The objective verdict per benchmark and mechanism. *)
@@ -324,7 +248,10 @@ let run_engine_parallel () =
         List.map
           (fun jobs ->
             let scan, t =
-              time (fun () -> Engine.run ~backend ~jobs golden)
+              time (fun () ->
+                  Engine.scan_exn
+                    (Engine.run_spec_result ~backend ~jobs
+                       (Spec.of_golden golden)))
             in
             (backend, jobs, t, scan = serial))
           [ 1; 2; 4 ])
@@ -398,13 +325,13 @@ let run_engine_checkpoint () =
     time (fun () -> Scan.pruned ~provider:(Injector.plan golden) golden)
   in
   let mem_identical = plan_mem = replay_mem in
-  let rt = Regspace.analyze program in
-  let rgolden = rt.Regspace.golden in
+  let reg = Faultspace.analyse Faultspace.Bitflip_reg program in
+  let rgolden = reg.Faultspace.golden in
   let replay_reg, t_rr =
-    time (fun () -> Regspace.scan ~provider:(Injector.replay rgolden) rt)
+    time (fun () -> Faultspace.scan ~provider:(Injector.replay rgolden) reg)
   in
   let plan_reg, t_rp =
-    time (fun () -> Regspace.scan ~provider:(Injector.plan rgolden) rt)
+    time (fun () -> Faultspace.scan ~provider:(Injector.plan rgolden) reg)
   in
   let reg_identical = plan_reg = replay_reg in
   Printf.printf "stride                    : %d cycles\n"
@@ -760,7 +687,10 @@ let run_engine_net () =
   let serial, t_serial = time (fun () -> Scan.pruned golden) in
   let jobs = 2 in
   let procs, t_procs =
-    time (fun () -> Engine.run ~backend:Pool.Processes ~jobs golden)
+    time (fun () ->
+        Engine.scan_exn
+          (Engine.run_spec_result ~backend:Pool.Processes ~jobs
+             (Spec.of_golden golden)))
   in
   match Remote.spawn_daemon ~workers:jobs () with
   | Error e -> Printf.printf "engine-net skipped: no daemon (%s)\n" e
@@ -770,9 +700,10 @@ let run_engine_net () =
         (fun () ->
           let net, t_net =
             time (fun () ->
-                Engine.run
-                  ~backend:(Pool.Sockets [ Addr.to_string addr ])
-                  ~jobs golden)
+                Engine.scan_exn
+                  (Engine.run_spec_result
+                     ~backend:(Pool.Sockets [ Addr.to_string addr ])
+                     ~jobs (Spec.of_golden golden)))
           in
           let identical = net = serial && procs = serial in
           let overhead_pct = (t_net -. t_procs) /. t_procs *. 100. in
@@ -997,7 +928,10 @@ let run_engine_faultspace () =
           | Faultspace.Bitflip_reg -> Spec.of_regspace rt
           | m -> Spec.of_golden ~model:m golden
         in
-        let scan, seconds = time (fun () -> Engine.run_spec ~jobs:0 spec) in
+        let scan, seconds =
+          time (fun () ->
+              Engine.scan_exn (Engine.run_spec_result ~jobs:0 spec))
+        in
         let experiments = Array.length scan.Scan.experiments in
         let rate = if seconds > 0. then float experiments /. seconds else 0. in
         Printf.printf "%-10s : %7d experiments  %6.2f s  %9.0f exp/s\n"
@@ -1065,8 +999,8 @@ let run_engine_faultspace () =
 
 let run_matrix_parallel () =
   section
-    "ENGM | Matrix engine: paper pairs back-to-back serial vs one \
-     run_matrix (emits BENCH_matrix.json)";
+    "ENGM | Matrix engine: paper pairs back-to-back serial vs one engine \
+     matrix (emits BENCH_matrix.json)";
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -1086,7 +1020,9 @@ let run_matrix_parallel () =
     List.map
       (fun jobs ->
         let scans, t =
-          time (fun () -> Engine.run_matrix ~jobs (Suite.paper_specs ()))
+          time (fun () ->
+              List.map Engine.scan_exn
+                (Engine.run_matrix_results ~jobs (Suite.paper_specs ())))
         in
         (jobs, t, List.for_all2 (fun a b -> a = b) scans serial))
       [ 1; 2; 4 ]
@@ -1102,7 +1038,7 @@ let run_matrix_parallel () =
   List.iter
     (fun (jobs, t, identical) ->
       Printf.printf
-        "run_matrix -j %-2d    : %6.2f s  (speedup %.2fx, bit-identical %b)\n"
+        "matrix -j %-2d        : %6.2f s  (speedup %.2fx, bit-identical %b)\n"
         jobs t (t_serial /. t) identical)
     runs;
   if cores = 1 then

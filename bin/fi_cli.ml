@@ -964,8 +964,8 @@ let journal_cmd =
     let action dir dry_run =
       let c =
         (* Journals the result cache still points at must survive
-           compaction: folding one into CSV would turn every future
-           cache hit on that cell into a miss. *)
+           compaction: deleting one would turn every future cache hit
+           on that cell into a miss. *)
         Catalog.compact ~dry_run ~finished:Runcell.journal_finished
           ~protect:(Cache.referenced ~dir) ~dir ()
       in
@@ -985,8 +985,9 @@ let journal_cmd =
     Cmd.v
       (Cmd.info "compact"
          ~doc:
-           "Fold finished campaign journals into the CSV store and prune \
-            superseded or dangling $(b,journals.idx) entries.  A journal \
+           "Delete finished campaign journals the result store does not \
+            serve and prune superseded or dangling $(b,journals.idx) \
+            entries.  A journal \
             is finished when it replays cleanly and every plan shard has \
             a record; unfinished ones — including quarantine-degraded \
             journals, which $(b,--resume) can still heal — are kept.")

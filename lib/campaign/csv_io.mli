@@ -1,6 +1,7 @@
-(** Persistence of campaign results as CSV, so long campaigns can be run
-    once and re-analysed offline (FAIL* stores results in a database; a
-    flat file suffices here). *)
+(** CSV export of campaign results ([fi-cli campaign -o]), for offline
+    analysis in other tools.  It is an export format only: a CSV carries
+    no program image, so nothing reuses a scan by loading one — the
+    campaign engine's result store, keyed by image digest, does that. *)
 
 val save : string -> Scan.t -> unit
 (** [save path scan] writes a header block and one row per experiment. *)

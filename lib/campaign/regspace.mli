@@ -39,37 +39,13 @@ val analyze : ?limit:int -> Program.t -> t
 val fault_space_size : t -> int
 (** Δt × 480 — the register-layer [w]. *)
 
-val classes : t -> Defuse.byte_class array
-(** The register-space experiment classes over the pseudo-memory —
-    the class provider the campaign engine shards exactly like a memory
-    campaign's (same [t_end]-contiguity invariant: {!conduct} uses
-    {!Injector.session_run_flip}, whose cycles must be non-decreasing
-    per session). *)
-
 val conduct :
   Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t
 (** Conduct the canonical register-space experiment of one
     (byte-class, bit) pair: flip the mapped [(register, bit)] at the
     class's [t_end] on the session's machine — the single-experiment
-    kernel shared by the serial {!scan} and the parallel engine. *)
-
-val scan :
-  ?variant:string ->
-  ?provider:Injector.provider ->
-  ?progress:Scan.progress ->
-  t ->
-  Scan.t
-(** Full pruned campaign over the register fault space, conducted
-    through [provider] as in {!Scan.pruned} (default: a fresh checkpoint
-    plan over the shared golden run).  The returned scan's [ram_bytes]
-    is the 60-byte pseudo-memory, so [Scan.fault_space_size] and all
-    metrics are consistent.  [variant] is the program's {e hardening}
-    variant (default ["baseline"]) — the fault space is already in the
-    scan's identity, so labelling register scans ["registers"] only
-    mislabelled hardened cells in matrix reports.
-
-    @raise Invalid_argument if [provider] was built over a different
-    golden run. *)
+    kernel shared by the serial [Faultspace.scan] and the parallel
+    engine. *)
 
 val coord_of_bit : int -> int * int
 (** Map a pseudo-memory bit index to [(register, bit-in-register)]. *)

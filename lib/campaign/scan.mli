@@ -36,25 +36,64 @@ val fault_space_size : t -> int
 
 type progress = done_:int -> total:int -> tally:Outcome.tally -> unit
 (** Campaign progress callback, shared by every campaign conductor
-    (serial {!pruned}, {!Regspace.scan} and the parallel
-    [Fi_engine.Engine]): [done_] classes out of [total] are complete and
-    [tally] carries the running outcome counts of all experiments
-    conducted so far.  The tally is live — read it, don't keep it (use
-    {!Outcome.tally_copy} to retain a snapshot).  Serial conductors call
-    it once per class in t_end-sorted rank order; the parallel engine
-    calls it in completion order (still monotonic in [done_]). *)
+    (the serial {!serial} loop and the parallel [Fi_engine.Engine]):
+    [done_] classes out of [total] are complete and [tally] carries the
+    running outcome counts of all experiments conducted so far.  The
+    tally is live — read it, don't keep it (use {!Outcome.tally_copy} to
+    retain a snapshot).  The serial loop calls it once per class in
+    t_end-sorted rank order; the parallel engine calls it in completion
+    order (still monotonic in [done_]). *)
 
 val no_progress : progress
 (** The silent callback (default). *)
 
-val conduct_class :
+type conduct =
   Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t
-(** Conduct the canonical memory-space experiment of one
-    (byte-class, bit) pair on an injection session — the single-
-    experiment kernel shared by the serial {!pruned} and the parallel
-    engine (which is what makes their results bit-identical).  Injection
-    cycles must be presented in non-decreasing order per session
-    ({!Injector.session_run_at}). *)
+(** A fault model's single-experiment kernel: conduct slot
+    [bit_in_byte] (0–7) of one experiment class on an injection session.
+    Injection cycles must be presented in non-decreasing order per
+    session ({!Injector.session_run_at}). *)
+
+val conduct_class : conduct
+(** The canonical memory-space experiment of one (byte-class, bit)
+    pair — the kernel shared by {!pruned} and the parallel engine
+    (which is what makes their results bit-identical). *)
+
+val assemble :
+  variant:string ->
+  golden:Golden.t ->
+  ram_bytes:int ->
+  benign_weight:int ->
+  Defuse.byte_class array ->
+  Outcome.t array ->
+  t
+(** [assemble ~golden ~ram_bytes ~benign_weight classes outcomes] is the
+    one {!t} constructor every conductor uses: experiment [i] is slot
+    [i mod 8] of [classes.(i / 8)] with outcome [outcomes.(i)], so
+    [outcomes] holds [8 × Array.length classes] entries in class-index
+    order.  [name] and [cycles] come from [golden]. *)
+
+val serial :
+  ?variant:string ->
+  ?provider:Injector.provider ->
+  ?progress:progress ->
+  golden:Golden.t ->
+  ram_bytes:int ->
+  benign_weight:int ->
+  conduct:conduct ->
+  Defuse.byte_class array ->
+  t
+(** The serial reference conductor for any fault model: one session
+    from [provider] (default: a fresh checkpoint plan at
+    {!Injector.default_stride} — pass {!Injector.replay} for the
+    reference restart semantics; outcomes are bit-identical either way)
+    visits the classes in [t_end] order (sorting a rank array, so the
+    classes may come in any order), conducts their 8 slots each, and
+    {!assemble}s the result in class-index order.  [progress] is called
+    after every class; [variant] defaults to ["baseline"].
+
+    @raise Invalid_argument if [provider] was built over a different
+    golden run. *)
 
 val pruned :
   ?variant:string ->
@@ -62,14 +101,9 @@ val pruned :
   ?progress:progress ->
   Golden.t ->
   t
-(** [pruned golden] runs the complete pruned campaign: one experiment per
-    (experiment-class, bit), conducted through [provider] (default: a
-    fresh checkpoint plan at {!Injector.default_stride} — pass
-    {!Injector.replay} for the reference restart semantics; outcomes are
-    bit-identical either way).  [progress] is called after every class.
-
-    @raise Invalid_argument if [provider] was built over a different
-    golden run. *)
+(** [pruned golden] runs the complete def/use-pruned memory campaign —
+    {!serial} over [golden]'s experiment classes with {!conduct_class}:
+    one experiment per (experiment-class, bit). *)
 
 val brute_force :
   ?variant:string -> Golden.t -> (Coordspace.coord * Outcome.t) array

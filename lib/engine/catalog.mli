@@ -40,7 +40,7 @@ val rewrite : dir:string -> (int * string) list -> unit
 type compaction = {
   examined : int;  (** Index lines parsed. *)
   kept : int;  (** Entries still in the index afterwards. *)
-  folded : int;  (** Finished journals removed (results live in CSV). *)
+  folded : int;  (** Finished journals removed (nothing left to resume). *)
   superseded : int;  (** Older duplicate entries dropped. *)
   dangling : int;  (** Entries whose journal file no longer exists. *)
 }
@@ -54,9 +54,9 @@ val compact :
   compaction
 (** Fold the catalogue: drop superseded and dangling entries, and for
     every current entry whose journal [finished] judges complete
-    (normally {!Runcell.journal_finished} — the campaign's results are
-    then reproducible from the CSV store), delete the journal file and
-    its entry.  Unfinished journals — including quarantine-degraded
+    (normally {!Runcell.journal_finished} — the campaign completed, so
+    there is nothing left to resume), delete the journal file and its
+    entry.  Unfinished journals — including quarantine-degraded
     ones, which [--resume] can still heal — are kept, as is any journal
     [protect] claims (the CLI passes the result cache's
     {!Cache.referenced}: a cache-backed journal IS the cached result —

@@ -8,17 +8,11 @@ let mismatch = Runcell.mismatch
 (* Campaign identity (public API; the definitions live in Runcell)     *)
 (* ------------------------------------------------------------------ *)
 
-let fingerprint golden ~(plan : Shard.plan) =
-  Runcell.fingerprint_of ~tag:(Faultspace.tag Faultspace.Bitflip_mem)
-    ~name:golden.Golden.program.Program.name ~cycles:golden.Golden.cycles
-    ~ram_bytes:golden.Golden.program.Program.ram_size
-    ~classes:(Defuse.experiment_classes golden.Golden.defuse)
-    ~plan
-
 let fingerprint_spec spec =
   let cell = Runcell.analyse spec in
   let plan =
-    Runcell.plan_of_policy spec.Spec.policy cell.Runcell.classes
+    Runcell.plan_of_policy spec.Spec.policy
+      cell.Runcell.space.Faultspace.classes
   in
   Runcell.fingerprint_cell cell ~plan
 
@@ -66,7 +60,6 @@ let resolve_journal ~fingerprint (policy : Spec.policy) =
 
 type runtime = {
   cell : Runcell.cell;
-  classes : Defuse.byte_class array;
   plan : Shard.plan;
   fp : int;
   outcomes : Outcome.t array;
@@ -86,32 +79,61 @@ type runtime = {
   from_cache : bool;  (** Whole cell replayed from the result store. *)
 }
 
+(* The one place a shard's outcome string (8 characters per class, in
+   the shard's rank order) lands in a cell: outcomes by class index,
+   every tally in [tallies], [on_class] after each class, and the shard
+   marked done.  Cache replay, journal resume and the live merge of
+   every backend all go through it. *)
+let apply_shard rt ~tallies ~on_class (shard : Shard.t) outs =
+  for k = 0 to Shard.classes_in shard - 1 do
+    let class_index = rt.plan.Shard.order.(shard.Shard.lo + k) in
+    for bit = 0 to 7 do
+      match Outcome.of_char outs.[(8 * k) + bit] with
+      | Some o ->
+          rt.outcomes.((class_index * 8) + bit) <- o;
+          List.iter (fun t -> Outcome.tally_add t o) tallies
+      | None ->
+          mismatch "record for shard %d holds invalid outcome %C"
+            shard.Shard.id
+            outs.[(8 * k) + bit]
+    done;
+    on_class ()
+  done;
+  rt.shard_done.(shard.Shard.id) <- true
+
 let setup cell ~progress =
-  let classes = cell.Runcell.classes in
   let policy = cell.Runcell.spec.Spec.policy in
-  let plan = Runcell.plan_of_policy policy classes in
+  let plan =
+    Runcell.plan_of_policy policy cell.Runcell.space.Faultspace.classes
+  in
   let fp = Runcell.fingerprint_cell cell ~plan in
   let header = Runcell.header_payload cell ~plan ~fp in
-  let total = plan.Shard.classes_total in
-  let outcomes = Array.make (8 * total) Outcome.No_effect in
-  let shard_done = Array.make (Array.length plan.Shard.shards) false in
-  let retries = Array.make (Array.length plan.Shard.shards) 0 in
-  let tally = Outcome.tally_create () in
-  let apply_record (shard : Shard.t) outs =
-    for k = 0 to Shard.classes_in shard - 1 do
-      let class_index = plan.Shard.order.(shard.Shard.lo + k) in
-      for bit = 0 to 7 do
-        match Outcome.of_char outs.[(8 * k) + bit] with
-        | Some o ->
-            outcomes.((class_index * 8) + bit) <- o;
-            Outcome.tally_add tally o
-        | None ->
-            mismatch "journal record for shard %d holds invalid outcome %C"
-              shard.Shard.id
-              outs.[(8 * k) + bit]
-      done
-    done
+  let shards = Array.length plan.Shard.shards in
+  (* Replays below fill the shared arrays and tally of [rt]; the final
+     record copies it with the journal state they determine. *)
+  let rt =
+    {
+      cell;
+      plan;
+      fp;
+      outcomes = Array.make (8 * plan.Shard.classes_total) Outcome.No_effect;
+      shard_done = Array.make shards false;
+      retries = Array.make shards 0;
+      quarantined = Array.make shards false;
+      q_info = [];
+      tally = Outcome.tally_create ();
+      progress;
+      journal_path = None;
+      writer = None;
+      resumed_classes = 0;
+      resumed_shards = 0;
+      classes_done = 0;
+      shards_done = 0;
+      cache_key = None;
+      from_cache = false;
+    }
   in
+  let replay_shard = apply_shard rt ~tallies:[ rt.tally ] ~on_class:ignore in
   (* --------------------------------------------------------------- *)
   (* Result-store consult.  The cell key fingerprints everything that
      determines results (program image × fault space × plan-shaping
@@ -129,7 +151,8 @@ let setup cell ~progress =
         let image =
           Digest.to_hex
             (Digest.string
-               (Marshal.to_string cell.Runcell.golden.Golden.program []))
+               (Marshal.to_string
+                  cell.Runcell.space.Faultspace.golden.Golden.program []))
         in
         Some
           (Cache.cell_key ~image
@@ -159,7 +182,7 @@ let setup cell ~progress =
            the run falls through to conducting normally. *)
         let exception Unservable in
         match
-          let seen = Array.make (Array.length plan.Shard.shards) false in
+          let seen = Array.make shards false in
           let parsed =
             List.filter_map
               (fun r ->
@@ -183,11 +206,7 @@ let setup cell ~progress =
           parsed
         with
         | parsed ->
-            List.iter
-              (fun ((shard : Shard.t), outs) ->
-                apply_record shard outs;
-                shard_done.(shard.Shard.id) <- true)
-              parsed;
+            List.iter (fun (shard, outs) -> replay_shard shard outs) parsed;
             true
         | exception Unservable -> false)
   in
@@ -227,8 +246,9 @@ let setup cell ~progress =
                           (* Resume composes with retry accounting: the
                              budget a shard burned before the crash stays
                              burned. *)
-                          if shard >= 0 && shard < Array.length retries then
-                            retries.(shard) <- max retries.(shard) attempt
+                          if shard >= 0 && shard < shards then
+                            rt.retries.(shard) <-
+                              max rt.retries.(shard) attempt
                       | Some (Runcell.Quarantine _) ->
                           (* Informational: a resumed campaign gives the
                              shard a fresh dispatch (its burned retries
@@ -237,9 +257,8 @@ let setup cell ~progress =
                       | None -> (
                           match Runcell.parse_record plan r with
                           | Some (shard, outs)
-                            when not shard_done.(shard.Shard.id) ->
-                              apply_record shard outs;
-                              shard_done.(shard.Shard.id) <- true
+                            when not rt.shard_done.(shard.Shard.id) ->
+                              replay_shard shard outs
                           | Some (shard, _) ->
                               mismatch
                                 "journal has duplicate record for shard %d"
@@ -251,24 +270,14 @@ let setup cell ~progress =
   let resumed_classes =
     Array.fold_left
       (fun acc (s : Shard.t) ->
-        if shard_done.(s.Shard.id) then acc + Shard.classes_in s else acc)
+        if rt.shard_done.(s.Shard.id) then acc + Shard.classes_in s else acc)
       0 plan.Shard.shards
   in
   let resumed_shards =
-    Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 shard_done
+    Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 rt.shard_done
   in
   {
-    cell;
-    classes;
-    plan;
-    fp;
-    outcomes;
-    shard_done;
-    retries;
-    quarantined = Array.make (Array.length plan.Shard.shards) false;
-    q_info = [];
-    tally;
-    progress;
+    rt with
     journal_path;
     writer;
     resumed_classes;
@@ -388,8 +397,8 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
     match backend with
     | Pool.Sockets [] ->
         invalid_arg
-          "Engine.run: the sockets backend needs at least one HOST:PORT \
-           worker address (--workers)"
+          "Engine: the sockets backend needs at least one HOST:PORT worker \
+           address (--workers)"
     | Pool.Sockets hosts -> List.map Addr.parse_exn hosts
     | Pool.Domains | Pool.Processes -> []
   in
@@ -400,7 +409,7 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
     (fun (s : Spec.t) ->
       let p = s.Spec.policy in
       if p.Spec.durability.Spec.resume && p.Spec.durability.Spec.journal = None && p.Spec.durability.Spec.catalogue = None then
-        invalid_arg "Engine.run: ~resume requires ~journal")
+        invalid_arg "Engine: ~resume requires ~journal")
     specs;
   let cells = List.map Runcell.analyse specs in
   let rts = ref [] in
@@ -471,6 +480,22 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
         rts_in_order;
       emit_observe ();
 
+      (* A freshly conducted shard: apply it, count it, journal it. *)
+      let merge_shard rt (shard : Shard.t) outs =
+        apply_shard rt ~tallies:[ rt.tally; agg_tally ] shard outs
+          ~on_class:(fun () ->
+            rt.classes_done <- rt.classes_done + 1;
+            incr agg_classes_done;
+            rt.progress ~done_:rt.classes_done
+              ~total:rt.plan.Shard.classes_total ~tally:rt.tally);
+        (match rt.writer with
+        | Some w -> Journal.append w (Runcell.record_payload shard outs)
+        | None -> ());
+        rt.shards_done <- rt.shards_done + 1;
+        incr agg_shards_done;
+        emit_observe ()
+      in
+
       (* -------------------------------------------------------------- *)
       (* Domains backend: one shared pool over every pending shard of
          every cell; tasks are claimed in cell order, so workers drain
@@ -492,37 +517,8 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
                rts_in_order)
         in
         let conduct_shard (rt, (shard : Shard.t)) =
-          let buf =
-            Runcell.conduct_shard rt.cell ~classes:rt.classes ~plan:rt.plan
-              shard ~on_class:(fun ~class_index chars ->
-                for bit = 0 to 7 do
-                  match Outcome.of_char chars.[bit] with
-                  | Some o -> rt.outcomes.((class_index * 8) + bit) <- o
-                  | None -> assert false
-                done;
-                Mutex.protect mu (fun () ->
-                    String.iter
-                      (fun ch ->
-                        match Outcome.of_char ch with
-                        | Some o ->
-                            Outcome.tally_add rt.tally o;
-                            Outcome.tally_add agg_tally o
-                        | None -> assert false)
-                      chars;
-                    rt.classes_done <- rt.classes_done + 1;
-                    incr agg_classes_done;
-                    rt.progress ~done_:rt.classes_done
-                      ~total:rt.plan.Shard.classes_total ~tally:rt.tally;
-                    emit_observe ()))
-          in
-          Mutex.protect mu (fun () ->
-              (match rt.writer with
-              | Some w -> Journal.append w (Runcell.record_payload shard buf)
-              | None -> ());
-              rt.shard_done.(shard.Shard.id) <- true;
-              rt.shards_done <- rt.shards_done + 1;
-              incr agg_shards_done;
-              emit_observe ())
+          let outs = Runcell.conduct_shard rt.cell ~plan:rt.plan shard in
+          Mutex.protect mu (fun () -> merge_shard rt shard outs)
         in
         let deadline =
           List.fold_left
@@ -555,36 +551,6 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
          are re-dispatched (bounded, with backoff), and a shard that
          exhausts its budget is quarantined or failed per policy. *)
       (* -------------------------------------------------------------- *)
-      let apply_shard_live rt (shard : Shard.t) outs =
-        let n = Shard.classes_in shard in
-        for k = 0 to n - 1 do
-          let class_index = rt.plan.Shard.order.(shard.Shard.lo + k) in
-          for bit = 0 to 7 do
-            match Outcome.of_char outs.[(8 * k) + bit] with
-            | Some o ->
-                rt.outcomes.((class_index * 8) + bit) <- o;
-                Outcome.tally_add rt.tally o;
-                Outcome.tally_add agg_tally o
-            | None ->
-                mismatch "segment record for shard %d holds invalid outcome %C"
-                  shard.Shard.id
-                  outs.[(8 * k) + bit]
-          done;
-          rt.classes_done <- rt.classes_done + 1;
-          incr agg_classes_done;
-          rt.progress ~done_:rt.classes_done ~total:rt.plan.Shard.classes_total
-            ~tally:rt.tally
-        done;
-        (match rt.writer with
-        | Some w ->
-            Journal.append w
-              (Runcell.record_payload shard (Bytes.of_string outs))
-        | None -> ());
-        rt.shard_done.(shard.Shard.id) <- true;
-        rt.shards_done <- rt.shards_done + 1;
-        incr agg_shards_done;
-        emit_observe ()
-      in
       (* One merge path for both worker backends: a local worker's
          journal segment and a remote worker's [Seg] frame stream carry
          the same CRC-guarded lines (header first, then one record per
@@ -614,7 +580,7 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
                 | None -> t.corrupt <- Some "wrote a malformed segment record"
                 | Some (shard, outs) ->
                     if not t.t_rt.shard_done.(shard.Shard.id) then
-                      apply_shard_live t.t_rt shard outs
+                      merge_shard t.t_rt shard outs
       in
       (* Tail a local worker's segment from the last read position;
          complete lines are merged, a trailing partial line (torn tail)
@@ -700,6 +666,7 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
         let sup = Spec.supervised policy in
         let max_retries = policy.Spec.supervision.Spec.max_retries in
         let label = Spec.label rt.cell.Runcell.spec in
+        let golden = rt.cell.Runcell.space.Faultspace.golden in
         let capacity =
           match mode with
           | Local_processes jobs -> jobs
@@ -817,7 +784,7 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
                       match
                         Remote.dispatch ?patience ?secret ~addr
                           ~fingerprint:rt.fp
-                          ~program:rt.cell.Runcell.golden.Golden.program
+                          ~program:golden.Golden.program
                           ~spec:rt.cell.Runcell.spec ~shard_ids ~index:idx ()
                       with
                       | Ok client ->
@@ -1218,31 +1185,17 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
               (Array.mapi
                  (fun i d -> d || rt.quarantined.(i))
                  rt.shard_done));
-          let total = rt.plan.Shard.classes_total in
-          (* Deterministic merge: identical construction to the serial
-             conductors.  Quarantined classes keep the No_effect
-             placeholder — callers must consult [quarantined] before
-             treating the scan as complete. *)
-          let experiments =
-            Array.init (8 * total) (fun idx ->
-                let c = rt.classes.(idx / 8) in
-                {
-                  Scan.byte = c.Defuse.byte;
-                  t_start = c.Defuse.t_start;
-                  t_end = c.Defuse.t_end;
-                  bit_in_byte = idx mod 8;
-                  outcome = rt.outcomes.(idx);
-                })
-          in
+          (* The serial reference's own constructor.  Quarantined
+             classes keep the No_effect placeholder — callers must
+             consult [quarantined] before treating the scan as
+             complete. *)
+          let space = rt.cell.Runcell.space in
           let scan =
-            {
-              Scan.name = rt.cell.Runcell.golden.Golden.program.Program.name;
-              variant = rt.cell.Runcell.spec.Spec.variant;
-              cycles = rt.cell.Runcell.golden.Golden.cycles;
-              ram_bytes = rt.cell.Runcell.ram_bytes;
-              experiments;
-              benign_weight = rt.cell.Runcell.benign_weight;
-            }
+            Scan.assemble ~variant:rt.cell.Runcell.spec.Spec.variant
+              ~golden:space.Faultspace.golden
+              ~ram_bytes:space.Faultspace.ram_bytes
+              ~benign_weight:space.Faultspace.benign_weight
+              space.Faultspace.classes rt.outcomes
           in
           let quarantined =
             List.rev_map
@@ -1289,54 +1242,17 @@ let run_spec_result ?backend ?jobs ?progress ?observe ?on_event ?secret spec =
   | [ r ] -> r
   | _ -> assert false
 
-(* ------------------------------------------------------------------ *)
-(* Scan-only wrappers: quarantine degrades to Worker_failed            *)
-(* ------------------------------------------------------------------ *)
-
-let quarantine_failure qs =
-  Worker_failed
-    (String.concat "\n"
-       (List.map
-          (fun q ->
-            Printf.sprintf
-              "%s: shard %d (%d classes) quarantined after %d attempts (%s)"
-              q.q_cell q.q_shard q.q_classes q.q_attempts q.q_cause)
-          qs))
-
-let run_matrix ?backend ?jobs ?progress ?observe specs =
-  let results = run_matrix_results ?backend ?jobs ?progress ?observe specs in
-  (match List.concat_map (fun (r : result) -> r.quarantined) results with
-  | [] -> ()
-  | qs -> raise (quarantine_failure qs));
-  List.map (fun r -> r.scan) results
-
-let run_spec ?backend ?jobs ?progress ?observe spec =
-  match
-    run_matrix ?backend ?jobs
-      ?progress:(Option.map (fun p _ -> p) progress)
-      ?observe [ spec ]
-  with
-  | [ scan ] -> scan
-  | _ -> assert false
-
-(* ------------------------------------------------------------------ *)
-(* Sampled-campaign helper: full scan + oracle estimate                *)
-(* ------------------------------------------------------------------ *)
-
-let run_sampled ?backend ?jobs ?progress ~seed ~samples spec =
-  if samples <= 0 then invalid_arg "Engine.run_sampled: samples must be > 0";
-  let scan = run_spec ?backend ?jobs ?progress spec in
-  let rng = Prng.create ~seed in
-  (scan, Sampler.uniform_raw_oracle rng ~samples scan)
-
-(* ------------------------------------------------------------------ *)
-(* Compatibility wrapper: the PR-1 single-campaign entry point         *)
-(* ------------------------------------------------------------------ *)
-
-let run ?(variant = "baseline") ?backend ?jobs ?shard_size ?journal
-    ?(resume = false) ?progress ?observe golden =
-  if resume && journal = None then
-    invalid_arg "Engine.run: ~resume requires ~journal";
-  let policy = Spec.make_policy ?shard_size ?journal ~resume () in
-  run_spec ?backend ?jobs ?progress ?observe
-    (Spec.of_golden ~variant ~policy golden)
+let scan_exn (r : result) =
+  match r.quarantined with
+  | [] -> r.scan
+  | qs ->
+      raise
+        (Worker_failed
+           (String.concat "\n"
+              (List.map
+                 (fun q ->
+                   Printf.sprintf
+                     "%s: shard %d (%d classes) quarantined after %d attempts \
+                      (%s)"
+                     q.q_cell q.q_shard q.q_classes q.q_attempts q.q_cause)
+                 qs)))

@@ -201,7 +201,7 @@ let net_poison (torture : Worker.torture option) ~index ~shard_id =
 let conduct conn (job : wire_job) =
   let spec = spec_of_wire job in
   let cell = Runcell.analyse spec in
-  let classes = cell.Runcell.classes in
+  let classes = cell.Runcell.space.Faultspace.classes in
   let plan = Runcell.plan_of_policy spec.Spec.policy classes in
   let fp = Runcell.fingerprint_cell cell ~plan in
   if fp <> job.fingerprint then
@@ -235,7 +235,7 @@ let conduct conn (job : wire_job) =
       net_poison torture ~index:job.index ~shard_id:id;
       let shard = plan.Shard.shards.(id) in
       let buf =
-        Runcell.conduct_shard ~on_class:heartbeat cell ~classes ~plan shard
+        Runcell.conduct_shard ~on_class:heartbeat cell ~plan shard
       in
       Transport.send conn Frame.Seg
         (Journal.encode_line (Runcell.record_payload shard buf));

@@ -6,17 +6,13 @@ let mismatch fmt = Printf.ksprintf (fun s -> raise (Journal_mismatch s)) fmt
 (* Analysed cells                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A spec resolved to everything a conductor needs: the session base
-   (golden run), the fault model's class partition, and the
-   per-experiment conductor of its space. *)
+(* A spec resolved to everything a conductor needs: the fault model's
+   analysed cell (golden run, class partition, per-experiment conductor)
+   and the session provider to conduct it on. *)
 type cell = {
   spec : Spec.t;
-  golden : Golden.t;
-  classes : Defuse.byte_class array;
-  benign_weight : int;
-  ram_bytes : int;
+  space : Faultspace.cell;
   provider : unit -> Injector.provider;
-  conduct : Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t;
 }
 
 (* Deferred so that a parent process which only analyses (journals,
@@ -43,15 +39,11 @@ let provider_of_policy (policy : Spec.policy) golden =
             built := Some p;
             p)
 
-let cell_of spec (fc : Faultspace.cell) =
+let cell_of spec (space : Faultspace.cell) =
   {
     spec;
-    golden = fc.Faultspace.golden;
-    classes = fc.Faultspace.classes;
-    benign_weight = fc.Faultspace.benign_weight;
-    ram_bytes = fc.Faultspace.ram_bytes;
-    provider = provider_of_policy spec.Spec.policy fc.Faultspace.golden;
-    conduct = fc.Faultspace.conduct;
+    space;
+    provider = provider_of_policy spec.Spec.policy space.Faultspace.golden;
   }
 
 let analyse (spec : Spec.t) =
@@ -73,18 +65,20 @@ let analyse (spec : Spec.t) =
 (* Campaign identity and journal payloads                             *)
 (* ------------------------------------------------------------------ *)
 
-(* [tag] is the fault model's [Faultspace.tag].  The legacy models keep
+(* The fault model's [Faultspace.tag] leads.  The legacy models keep
    their pre-subsystem tags ("mem"/"reg"), so every fingerprint — and
    therefore every journal and cache key — they ever produced stays
-   byte-identical. *)
-let fingerprint_of ~tag ~name ~cycles ~ram_bytes
-    ~(classes : Defuse.byte_class array) ~(plan : Shard.plan) =
+   byte-identical.  The classes are hashed in array order. *)
+let fingerprint_cell { spec; space; _ } ~(plan : Shard.plan) =
+  let golden = space.Faultspace.golden in
+  let classes = space.Faultspace.classes in
   let buf = Buffer.create (64 + (Array.length classes * 12)) in
-  Buffer.add_string buf tag;
+  Buffer.add_string buf (Faultspace.tag spec.Spec.model);
   Buffer.add_char buf '|';
-  Buffer.add_string buf name;
+  Buffer.add_string buf golden.Golden.program.Program.name;
   Buffer.add_string buf
-    (Printf.sprintf "|%d|%d|%d|%s|" cycles ram_bytes plan.Shard.shard_size
+    (Printf.sprintf "|%d|%d|%d|%s|" golden.Golden.cycles
+       space.Faultspace.ram_bytes plan.Shard.shard_size
        (Shard.sizing_tag plan.Shard.sizing));
   Array.iter
     (fun (c : Defuse.byte_class) ->
@@ -93,12 +87,6 @@ let fingerprint_of ~tag ~name ~cycles ~ram_bytes
            c.Defuse.t_end))
     classes;
   Crc32.string (Buffer.contents buf)
-
-let fingerprint_cell cell ~plan =
-  fingerprint_of
-    ~tag:(Faultspace.tag cell.spec.Spec.model)
-    ~name:cell.golden.Golden.program.Program.name ~cycles:cell.golden.Golden.cycles
-    ~ram_bytes:cell.ram_bytes ~classes:cell.classes ~plan
 
 let plan_of_policy (policy : Spec.policy) classes =
   Shard.plan
@@ -109,18 +97,19 @@ let plan_of_policy (policy : Spec.policy) classes =
    keeping their journals byte-identical to pre-subsystem runs — and
    "v3" for every model added by the Faultspace subsystem.  The field
    layout is identical either way; the [space=] value is the model tag. *)
-let header_payload cell ~(plan : Shard.plan) ~fp =
-  let model = cell.spec.Spec.model in
+let header_payload { spec; space; _ } ~(plan : Shard.plan) ~fp =
+  let model = spec.Spec.model in
+  let golden = space.Faultspace.golden in
   Printf.sprintf
     "fi-engine %s space=%s sizing=%s cycles=%d ram_bytes=%d classes=%d \
      shard_size=%d shards=%d fingerprint=%s name=%s"
     (if Faultspace.legacy model then "v2" else "v3")
     (Faultspace.tag model)
     (Shard.sizing_tag plan.Shard.sizing)
-    cell.golden.Golden.cycles cell.ram_bytes plan.Shard.classes_total
+    golden.Golden.cycles space.Faultspace.ram_bytes plan.Shard.classes_total
     plan.Shard.shard_size
     (Array.length plan.Shard.shards)
-    (Crc32.to_hex fp) cell.golden.Golden.program.Program.name
+    (Crc32.to_hex fp) golden.Golden.program.Program.name
 
 let key_int key tok =
   let p = key ^ "=" in
@@ -151,9 +140,8 @@ let journal_model_tag path =
   | Some (header, _, _) -> header_model_tag header
   | None -> None
 
-let record_payload (shard : Shard.t) outcomes_buf =
-  Printf.sprintf "shard=%d outcomes=%s" shard.Shard.id
-    (Bytes.to_string outcomes_buf)
+let record_payload (shard : Shard.t) outcomes =
+  Printf.sprintf "shard=%d outcomes=%s" shard.Shard.id outcomes
 
 let parse_record (plan : Shard.plan) payload =
   match String.index_opt payload ' ' with
@@ -252,8 +240,8 @@ let journal_finished path =
 (* ------------------------------------------------------------------ *)
 
 let conduct_shard ?(on_class = fun ~class_index:_ _ -> ()) cell
-    ~(classes : Defuse.byte_class array) ~(plan : Shard.plan)
-    (shard : Shard.t) =
+    ~(plan : Shard.plan) (shard : Shard.t) =
+  let { Faultspace.classes; conduct; _ } = cell.space in
   let session = Injector.session (cell.provider ()) in
   let n = Shard.classes_in shard in
   let buf = Bytes.create (8 * n) in
@@ -261,9 +249,9 @@ let conduct_shard ?(on_class = fun ~class_index:_ _ -> ()) cell
     let class_index = plan.Shard.order.(shard.Shard.lo + k) in
     let c = classes.(class_index) in
     for bit_in_byte = 0 to 7 do
-      let o = cell.conduct session c ~bit_in_byte in
+      let o = conduct session c ~bit_in_byte in
       Bytes.set buf ((8 * k) + bit_in_byte) (Outcome.to_char o)
     done;
     on_class ~class_index (Bytes.sub_string buf (8 * k) 8)
   done;
-  buf
+  Bytes.unsafe_to_string buf

@@ -17,13 +17,10 @@ val mismatch : ('a, unit, string, 'b) format4 -> 'a
 
 type cell = {
   spec : Spec.t;
-  golden : Golden.t;
-  classes : Defuse.byte_class array;
-      (** The fault model's experiment classes ([Faultspace.cell]'s),
-          [t_end]-sorted. *)
-  benign_weight : int;
-      (** A-priori-benign fault-space weight of the model. *)
-  ram_bytes : int;  (** Real, pseudo or synthetic row footprint. *)
+  space : Faultspace.cell;
+      (** The fault model's analysed cell: golden run, experiment
+          classes, benign weight, row footprint and per-experiment
+          conductor. *)
   provider : unit -> Injector.provider;
       (** The session provider every conductor of this cell draws from —
           an [Injector.plan] at the policy's
@@ -31,7 +28,6 @@ type cell = {
           (domain-safely), so a parent process that only
           analyses/schedules never builds the checkpoint ladder; the
           first conducting caller builds it exactly once. *)
-  conduct : Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t;
 }
 
 val analyse : Spec.t -> cell
@@ -42,21 +38,12 @@ val analyse : Spec.t -> cell
     @raise Invalid_argument if the spec's model contradicts its analysed
     source. *)
 
-val fingerprint_of :
-  tag:string ->
-  name:string ->
-  cycles:int ->
-  ram_bytes:int ->
-  classes:Defuse.byte_class array ->
-  plan:Shard.plan ->
-  int
+val fingerprint_cell : cell -> plan:Shard.plan -> int
 (** CRC-32 campaign identity over the fault-model tag
     ({!Faultspace.tag}), program name, golden runtime, row footprint,
-    shard geometry/sizing and full class list.  The legacy models keep
-    their pre-subsystem tags, so their fingerprints are byte-identical
-    to before. *)
-
-val fingerprint_cell : cell -> plan:Shard.plan -> int
+    shard geometry/sizing and full class list, in array order.  The
+    legacy models keep their pre-subsystem tags, so their fingerprints
+    are byte-identical to before. *)
 
 val plan_of_policy : Spec.policy -> Defuse.byte_class array -> Shard.plan
 (** The shard plan a policy prescribes for a class list — the single
@@ -66,7 +53,7 @@ val plan_of_policy : Spec.policy -> Defuse.byte_class array -> Shard.plan
 val header_payload : cell -> plan:Shard.plan -> fp:int -> string
 (** The campaign journal's header record. *)
 
-val record_payload : Shard.t -> Bytes.t -> string
+val record_payload : Shard.t -> string -> string
 (** One journal record: [shard=<id> outcomes=<8×classes chars>]. *)
 
 val parse_record : Shard.plan -> string -> (Shard.t * string) option
@@ -108,20 +95,19 @@ val parse_supervision : string -> supervision option
 val journal_finished : string -> bool
 (** Whether [path] is a {e finished} campaign journal: replays [Clean]
     with an engine header, and every plan shard id has a record.  This
-    is journal compaction's gate — only such journals may be folded
-    into the CSV store and pruned.  Torn, corrupt, quarantine-degraded
-    or foreign files are all [false]. *)
+    is journal compaction's gate — only such journals may be deleted
+    (nothing is left for [--resume] to heal).  Torn, corrupt,
+    quarantine-degraded or foreign files are all [false]. *)
 
 val conduct_shard :
   ?on_class:(class_index:int -> string -> unit) ->
   cell ->
-  classes:Defuse.byte_class array ->
   plan:Shard.plan ->
   Shard.t ->
-  Bytes.t
+  string
 (** Conduct every experiment of one shard on a fresh session from the
     cell's provider (valid because injection cycles are non-decreasing
     within a shard) and return the packed outcome characters.
     [on_class] is called once per completed class with its index and its
-    8 outcome characters — the hook the in-process backend uses for live
-    tallies/progress. *)
+    8 outcome characters — the hook worker processes and remote workers
+    use for heartbeats. *)

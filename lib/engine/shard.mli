@@ -2,15 +2,14 @@
     units.
 
     A pruned campaign conducts one experiment per (experiment-class, bit)
-    — whether the classes partition main memory (def/use pruning of
-    {!Golden.t}) or the register file's pseudo-memory ({!Regspace.t}).
-    The fast {!Injector.Checkpoint} strategy requires injection cycles to
-    be non-decreasing {e within one session}, so the class list is first
+    of whatever class array its fault model presents ([Faultspace.cell]).
+    An {!Injector.session} requires injection cycles to be
+    non-decreasing {e within one session}, so the class list is first
     ranked by canonical injection cycle ([t_end]) — exactly as the serial
-    conductors do — and then cut into contiguous rank intervals
-    ({e shards}).  Each shard satisfies the monotonicity invariant on its
-    own and can therefore run on its own checkpoint session, on any
-    worker, in any order.
+    loop {!Scan.serial} does — and then cut into contiguous rank
+    intervals ({e shards}).  Each shard satisfies the monotonicity
+    invariant on its own and can therefore run on its own session, on
+    any worker, in any order.
 
     The plan is a pure function of the class list, the shard size and the
     sizing policy — never of the worker count — so one journal written at

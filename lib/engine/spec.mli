@@ -20,8 +20,8 @@
 
     Specs are plain values: build one per matrix cell (see
     [Suite.spec_matrix] / [Suite.paper_specs]) and hand the whole list to
-    [Engine.run_matrix], which schedules every cell's shards over one
-    shared worker pool. *)
+    [Engine.run_matrix_results], which schedules every cell's shards over
+    one shared worker pool. *)
 
 type source =
   | Build of (unit -> Program.t)

@@ -114,7 +114,7 @@ let serve ~input ~output =
   if seen <> magic then failwith "worker: bad job magic on stdin";
   let job : job = Marshal.from_channel input in
   let cell = Runcell.analyse job.spec in
-  let classes = cell.Runcell.classes in
+  let classes = cell.Runcell.space.Faultspace.classes in
   let plan = Runcell.plan_of_policy job.spec.Spec.policy classes in
   let fp = Runcell.fingerprint_cell cell ~plan in
   if fp <> job.fingerprint then
@@ -153,7 +153,7 @@ let serve ~input ~output =
       maybe_poison torture ~index:job.index ~shard_id:id;
       let shard = plan.Shard.shards.(id) in
       let buf =
-        Runcell.conduct_shard ~on_class:heartbeat cell ~classes ~plan shard
+        Runcell.conduct_shard ~on_class:heartbeat cell ~plan shard
       in
       Journal.append w (Runcell.record_payload shard buf);
       (* Doorbell: the record is fsync'd, the parent may merge it. *)

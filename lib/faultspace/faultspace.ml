@@ -96,8 +96,7 @@ type cell = {
   classes : Defuse.byte_class array;
   ram_bytes : int;
   benign_weight : int;
-  conduct :
-    Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t;
+  conduct : Scan.conduct;
 }
 
 let experiments cell = 8 * Array.length cell.classes
@@ -199,3 +198,8 @@ let analyse ?limit model program =
   match model with
   | Bitflip_reg -> of_regspace (Regspace.analyze ?limit program)
   | _ -> of_golden model (Golden.run ?limit program)
+
+let scan ?variant ?provider ?progress cell =
+  Scan.serial ?variant ?provider ?progress ~golden:cell.golden
+    ~ram_bytes:cell.ram_bytes ~benign_weight:cell.benign_weight
+    ~conduct:cell.conduct cell.classes

@@ -14,15 +14,15 @@
     backends — because each one presents its space as an array of
     {!Defuse.byte_class}es (8 experiment slots per class, the journal's
     record granularity) whose canonical injection cycles are
-    non-decreasing in [t_end] order, the only invariant the engine's
-    per-shard sessions require.
+    non-decreasing once the classes are visited in [t_end] order — the
+    only invariant the engine's per-shard sessions require.
 
     The four models:
 
     - {!Bitflip_mem} — the paper's model: one bit of data memory, def/use
       pruned ({!Scan.pruned}).  Bit-identical to the legacy memory path.
     - {!Bitflip_reg} — the Section VI-B register file space
-      ({!Regspace.scan}).  Bit-identical to the legacy register path.
+      ({!Regspace}).  Bit-identical to the legacy register path.
     - {!Burst} — [width] bits of one data byte flip together, adjacent or
       interleaved by a row stride, modelling the spatially-correlated
       multi-bit upsets observed in undervolted SRAMs (Soyturk et al.).
@@ -80,9 +80,14 @@ val known : (string * string) list
 type cell = {
   golden : Golden.t;  (** The shared fault-free reference run. *)
   classes : Defuse.byte_class array;
-      (** Experiment equivalence classes, [t_end]-sorted by construction
-          (the engine's shard-contiguity invariant).  8 experiment slots
-          per class. *)
+      (** Experiment equivalence classes, 8 experiment slots per class.
+          Only {!Skip}'s classes come [t_end]-ordered; {!Bitflip_mem},
+          {!Burst} and {!Bitflip_reg} list theirs in [(byte, t_start)]
+          order ({!Defuse.experiment_classes}).  The conductors — {!scan}
+          and [Shard.plan] — rank them by [t_end] themselves.  The array
+          order is deliberately left as is: campaign fingerprints hash
+          the classes in array order, so sorting here would change every
+          journal and cache key. *)
   ram_bytes : int;
       (** Real ({!Bitflip_mem}/{!Burst}), pseudo ({!Bitflip_reg}: 60) or
           synthetic ({!Skip}: class count) row footprint — the
@@ -90,8 +95,7 @@ type cell = {
   benign_weight : int;
       (** Fault-space coordinates known benign a priori (overwritten or
           dormant classes); [0] for {!Skip}, whose space has no pruning. *)
-  conduct :
-    Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t;
+  conduct : Scan.conduct;
       (** Conduct one experiment slot on a session over [golden]'s
           provider.  Injection cycles are non-decreasing when classes are
           visited in [t_end] order with ascending slots. *)
@@ -123,3 +127,18 @@ val analyse : ?limit:int -> model -> Program.t -> cell
 
 val experiments : cell -> int
 (** [8 × Array.length classes] — the campaign's experiment count. *)
+
+val scan :
+  ?variant:string ->
+  ?provider:Injector.provider ->
+  ?progress:Scan.progress ->
+  cell ->
+  Scan.t
+(** The serial reference campaign of a cell: {!Scan.serial} over its
+    classes with its [conduct], [ram_bytes] and [benign_weight].  Every
+    engine result — any backend, any [-j], resumed or cached — equals
+    this scan.  For {!Bitflip_mem} it is {!Scan.pruned}.  [variant] is
+    the program's hardening variant (default ["baseline"]).
+
+    @raise Invalid_argument if [provider] was built over a different
+    golden run. *)

@@ -1,8 +1,8 @@
 (** Sound non-termination proofs for loop-bound faulty runs.
 
-    Exact state-recurrence detection ({!Machine.hunt_loops}) only
-    catches loops whose machine state repeats verbatim.  Most
-    watchdog-bound faulty runs are not like that: a corrupted loop
+    Exact state-recurrence detection would only catch loops whose
+    machine state repeats verbatim.  Most watchdog-bound faulty runs
+    are not like that: a corrupted loop
     bound leaves the program iterating with a counter (and often a
     chaotically drifting accumulator) that never revisits a state.
     This module proves non-termination for exactly that shape of loop

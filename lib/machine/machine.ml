@@ -52,21 +52,14 @@ type t = {
   exec_tracer : exec_tracer option;
 }
 
-(* Brent-style recurrence detector: one tortoise state, recaptured with
+(* Brent-style pc-recurrence probe: one tortoise pc, recaptured with
    exponentially growing windows.  The hot loop pays one [pc] compare
-   per cycle.  In full mode ([h_full]) a hit additionally compares the
-   complete execution state (pc, regs, RAM — everything the transition
-   function reads), short-circuiting on the first differing register; a
-   match proves the state recurred, which on this deterministic machine
-   proves the run can never halt.  In probe mode a bare pc revisit
-   suspends the run: it proves nothing by itself, but hands the caller
-   a loop-period candidate for deeper analysis (see {!Loopproof}). *)
+   per cycle.  A bare pc revisit suspends the run: it proves nothing by
+   itself, but hands the caller a loop-period candidate for deeper
+   analysis (see {!Loopproof}). *)
 and hunt = {
-  h_full : bool; (* full-state proof mode vs. pc-recurrence probe *)
   h_serial : bool; (* suspension raised by the serial-position trap *)
   mutable h_pc : int;
-  h_regs : int array; (* empty in probe mode *)
-  h_ram : Bytes.t; (* empty in probe mode *)
   mutable h_window : int; (* current Brent window, in cycles *)
   mutable h_left : int; (* cycles left before the tortoise moves *)
   mutable h_dist : int; (* cycles since the tortoise was (re)captured *)
@@ -210,11 +203,8 @@ let mmio_store m addr value =
         m.hunt <-
           Some
             {
-              h_full = false;
               h_serial = true;
               h_pc = m.pc;
-              h_regs = [||];
-              h_ram = Bytes.empty;
               h_window = 0;
               h_left = max_int;
               h_dist = 0;
@@ -597,15 +587,13 @@ let create ?tracer ?exec_tracer prog =
 
 let hunt_window0 = 32
 
-let arm_hunt m ~full ~window0 =
+let probe_pc_recurrence ?(window0 = hunt_window0) m =
+  let window0 = max 1 window0 in
   m.hunt <-
     Some
       {
-        h_full = full;
         h_serial = false;
         h_pc = m.pc;
-        h_regs = (if full then Array.copy m.regs else [||]);
-        h_ram = (if full then Bytes.copy m.ram else Bytes.empty);
         h_window = window0;
         h_left = window0;
         h_dist = 0;
@@ -643,17 +631,9 @@ let scan_pcs m buf =
         incr i));
   !i
 
-let hunt_loops m = arm_hunt m ~full:true ~window0:hunt_window0
-
-let probe_pc_recurrence ?(window0 = hunt_window0) m =
-  arm_hunt m ~full:false ~window0:(max 1 window0)
-
-let loop_proven m =
-  match m.hunt with Some h -> h.h_full && h.h_stop | None -> false
-
 let pc_recurrence m =
   match m.hunt with
-  | Some h when (not h.h_full) && (not h.h_serial) && h.h_stop -> Some h.h_dist
+  | Some h when (not h.h_serial) && h.h_stop -> Some h.h_dist
   | Some _ | None -> None
 
 let state_hash m =
@@ -677,10 +657,6 @@ let hunt_step m h =
   if h.h_stop then ()
   else if h.h_left = 0 then begin
     h.h_pc <- m.pc;
-    if h.h_full then begin
-      Array.blit m.regs 0 h.h_regs 0 16;
-      Bytes.blit m.ram 0 h.h_ram 0 (Bytes.length m.ram)
-    end;
     h.h_window <- h.h_window * 2;
     h.h_left <- h.h_window;
     h.h_dist <- 0
@@ -688,16 +664,7 @@ let hunt_step m h =
   else begin
     h.h_left <- h.h_left - 1;
     h.h_dist <- h.h_dist + 1;
-    if m.pc = h.h_pc then
-      if h.h_full then begin
-        let regs = m.regs and tregs = h.h_regs in
-        let rec eq i =
-          i >= 16
-          || (Array.unsafe_get regs i = Array.unsafe_get tregs i && eq (i + 1))
-        in
-        if eq 0 && Bytes.equal m.ram h.h_ram then h.h_stop <- true
-      end
-      else h.h_stop <- true
+    if m.pc = h.h_pc then h.h_stop <- true
   end
 
 (* ------------------------------------------------------------------ *)

@@ -240,35 +240,21 @@ val take_serial_trap : t -> bool
     a firing trap displaces an armed probe, which then needs
     re-arming. *)
 
-val hunt_loops : t -> unit
-(** Arm the livelock detector on [m]: subsequent {!run_until} spans
-    watch for a recurrence of the execution state (pc, registers, RAM —
-    everything the transition function reads) via Brent's algorithm —
-    one tortoise state, recaptured with exponentially growing windows,
-    compared against the hare at one [pc] equality per cycle.  When a
-    recurrence is found the run suspends ({!loop_proven} becomes true,
-    {!stopped} stays [None]): on a deterministic machine a repeated
-    state proves the run can never halt, so the caller may classify it
-    as the watchdog would without simulating up to the cycle limit.
-    Forked and restored machines never inherit an armed detector. *)
-
-val loop_proven : t -> bool
-(** Whether the armed detector has proven an infinite loop ([false] if
-    {!hunt_loops} was never called). *)
-
 val probe_pc_recurrence : ?window0:int -> t -> unit
-(** Arm the detector in {e probe} mode: the same Brent tortoise as
-    {!hunt_loops}, but a bare [pc] revisit suspends the run without
-    comparing (or copying) any state.  A pc recurrence proves nothing
+(** Arm the pc-recurrence probe: a Brent tortoise — one [pc],
+    recaptured with exponentially growing windows, compared against the
+    current [pc] once per cycle — where a bare [pc] revisit suspends the
+    run ({!stopped} stays [None]).  A pc recurrence proves nothing
     by itself — it is a cheap trigger for deeper loop analysis
     ({!Loopproof}): the suspension hands the caller a machine parked at
     a loop head together with a period candidate.  [window0] sets the
     initial Brent window (default 32); re-arming with a larger window
     spaces successive triggers out geometrically.  Replaces any
-    previously armed detector. *)
+    previously armed detector; forked and restored machines never
+    inherit one. *)
 
 val pc_recurrence : t -> int option
 (** [Some d] iff an armed {!probe_pc_recurrence} detector suspended the
     run: the current [pc] was last visited [d] cycles ago ([d] is a
     loop-period candidate, possibly a multiple or fraction of the true
-    period).  [None] for full-mode detectors and unarmed machines. *)
+    period).  [None] for unarmed machines. *)

@@ -75,7 +75,9 @@ let smoke_journal_resume model =
   let tag = Faultspace.tag model in
   with_temp_file (fun path ->
       let policy = Spec.make_policy ~journal:path ~shard_size:3 () in
-      let cold = Engine.run_spec ~jobs:2 (spec_of model policy) in
+      let cold =
+        Engine.scan_exn (Engine.run_spec_result ~jobs:2 (spec_of model policy))
+      in
       check tag "cold run journals to completion"
         (Runcell.journal_finished path);
       check tag "journal records the model tag"
@@ -92,7 +94,10 @@ let smoke_journal_resume model =
           Spec.durability = { policy.Spec.durability with Spec.resume = true }
         }
       in
-      let resumed = Engine.run_spec ~jobs:2 (spec_of model resume_policy) in
+      let resumed =
+        Engine.scan_exn
+          (Engine.run_spec_result ~jobs:2 (spec_of model resume_policy))
+      in
       check tag "torn-tail resume is bit-identical" (cold = resumed);
       check tag "resumed journal finished again" (Runcell.journal_finished path);
       cold)

@@ -218,7 +218,10 @@ let test_register_hit_bit_identical () =
         Spec.registers ~benchmark:"hi" ~policy:(cache_policy builddir)
           (fun () -> Hi.program ())
       in
-      let serial = Regspace.scan (Regspace.analyze (Hi.program ())) in
+      let serial =
+        Faultspace.scan
+          (Faultspace.analyse Faultspace.Bitflip_reg (Hi.program ()))
+      in
       let cold = Engine.run_spec_result (spec dir) in
       Alcotest.(check bool) "cold register run not a hit" false
         cold.Engine.cached;
@@ -228,6 +231,37 @@ let test_register_hit_bit_identical () =
         warm.Engine.cached;
       check_scans_identical "warm registers = cold" cold.Engine.scan
         warm.Engine.scan)
+
+(* Two program images under one benchmark/variant label: the store keys
+   cells by image digest, so the second image is a miss and conducts its
+   own program, while the first stays served.  A store keyed by label
+   would serve the first image's scan for the second. *)
+let test_same_label_different_image_misses () =
+  with_temp_dir (fun dir ->
+      let run build =
+        let spec =
+          Spec.memory ~benchmark:"hi" ~variant:"baseline"
+            ~policy:(cache_policy dir) build
+        in
+        Alcotest.(check string) "one label" "hi/baseline" (Spec.label spec);
+        Engine.run_spec_result ~jobs:2 spec
+      in
+      let first = run (fun () -> Hi.program ()) in
+      let second = run (fun () -> Hi.dft ()) in
+      Alcotest.(check bool) "first image is not a hit" false
+        first.Engine.cached;
+      Alcotest.(check bool) "second image is not a hit" false
+        second.Engine.cached;
+      check_scans_identical "second image = its own serial scan"
+        (Scan.pruned (Golden.run (Hi.dft ())))
+        second.Engine.scan;
+      Alcotest.(check bool) "the images' scans differ" true
+        (first.Engine.scan <> second.Engine.scan);
+      let again = run (fun () -> Hi.program ()) in
+      Alcotest.(check bool) "first image still served" true
+        again.Engine.cached;
+      check_scans_identical "served first image = serial"
+        (Lazy.force hi_serial) again.Engine.scan)
 
 (* The acceptance bar: a warm matrix re-runs with ZERO shard
    executions.  Proof by sabotage — under [exit:0] torture every
@@ -381,6 +415,8 @@ let suite =
         test_memory_hit_bit_identical;
       Alcotest.test_case "register-space hit is bit-identical" `Quick
         test_register_hit_bit_identical;
+      Alcotest.test_case "same label, different image is a miss" `Quick
+        test_same_label_different_image_misses;
       Alcotest.test_case "warm run executes zero shards" `Quick
         test_warm_run_executes_no_shards;
       Alcotest.test_case "quarantined campaigns are never published" `Quick

@@ -126,7 +126,10 @@ let test_stride_identity_memory () =
 let test_stride_identity_registers () =
   let rt = Regspace.analyze (Codegen.compile (looper ())) in
   let rgolden = rt.Regspace.golden in
-  let reference = Regspace.scan ~provider:(Injector.replay rgolden) rt in
+  let reference =
+    Faultspace.scan ~provider:(Injector.replay rgolden)
+      (Faultspace.of_regspace rt)
+  in
   Alcotest.(check bool) "register fixture has timeouts" true
     (outcome_count reference Outcome.Timeout > 0);
   List.iter
@@ -134,7 +137,8 @@ let test_stride_identity_registers () =
       check_scans_identical
         (Printf.sprintf "registers stride %d" stride)
         reference
-        (Regspace.scan ~provider:(Injector.plan ~stride rgolden) rt))
+        (Faultspace.scan ~provider:(Injector.plan ~stride rgolden)
+           (Faultspace.of_regspace rt)))
     (strides rgolden)
 
 (* ------------------------------------------------------------------ *)
@@ -216,18 +220,20 @@ let test_resume_stride_churn () =
           golden
       in
       (match
-         Engine.run_spec ~jobs:1
-           ~progress:(fun ~done_ ~total ~tally:_ ->
-             if done_ > total / 3 then raise Killed)
-           (spec ~resume:false ~stride:8)
+         Engine.scan_exn
+           (Engine.run_spec_result ~jobs:1
+              ~progress:(fun ~done_ ~total ~tally:_ ->
+                if done_ > total / 3 then raise Killed)
+              (spec ~resume:false ~stride:8))
        with
       | _ -> Alcotest.fail "expected the campaign to be killed"
       | exception Killed -> ());
       let snap = ref None in
       let resumed =
-        Engine.run_spec ~jobs:1
-          ~observe:(fun s -> snap := Some s)
-          (spec ~resume:true ~stride:512)
+        Engine.scan_exn
+          (Engine.run_spec_result ~jobs:1
+             ~observe:(fun s -> snap := Some s)
+             (spec ~resume:true ~stride:512))
       in
       check_scans_identical "resumed at a different stride" reference resumed;
       (match !snap with
@@ -238,9 +244,10 @@ let test_resume_stride_churn () =
       (* Once complete, a replay-semantics resume conducts nothing. *)
       let snap = ref None in
       let again =
-        Engine.run_spec ~jobs:1
-          ~observe:(fun s -> snap := Some s)
-          (spec ~resume:true ~stride:0)
+        Engine.scan_exn
+          (Engine.run_spec_result ~jobs:1
+             ~observe:(fun s -> snap := Some s)
+             (spec ~resume:true ~stride:0))
       in
       check_scans_identical "replay-stride rerun" reference again;
       match !snap with

@@ -23,6 +23,14 @@ let check_scans_identical msg serial parallel =
     (Csv_io.to_string serial)
     (Csv_io.to_string parallel)
 
+(* The memory campaign of [golden] through the engine, under a
+   journal/shard-geometry policy. *)
+let engine_scan ?jobs ?shard_size ?journal ?resume ?progress ?observe golden =
+  let policy = Spec.make_policy ?shard_size ?journal ?resume () in
+  Engine.scan_exn
+    (Engine.run_spec_result ?jobs ?progress ?observe
+       (Spec.of_golden ~policy golden))
+
 let with_temp_file f =
   let path = Filename.temp_file "fiengine" ".journal" in
   Fun.protect
@@ -228,7 +236,7 @@ let test_parallel_equals_serial_hi () =
       check_scans_identical
         (Printf.sprintf "hi -j %d" jobs)
         serial
-        (Engine.run ~jobs golden))
+        (engine_scan ~jobs golden))
     [ 1; 2; 4 ]
 
 let test_parallel_equals_serial_flag1 () =
@@ -239,7 +247,7 @@ let test_parallel_equals_serial_flag1 () =
       check_scans_identical
         (Printf.sprintf "flag1 -j %d" jobs)
         serial
-        (Engine.run ~jobs golden))
+        (engine_scan ~jobs golden))
     [ 1; 2; 4 ]
 
 let test_shard_size_irrelevant () =
@@ -250,7 +258,7 @@ let test_shard_size_irrelevant () =
       check_scans_identical
         (Printf.sprintf "hi shard_size %d" shard_size)
         serial
-        (Engine.run ~jobs:2 ~shard_size golden))
+        (engine_scan ~jobs:2 ~shard_size golden))
     [ 1; 3; 1000 ]
 
 (* Engine == serial on random compiled MIR programs with random shard
@@ -277,7 +285,7 @@ let qcheck_engine_equals_serial =
           ]
       in
       let golden = Golden.run (Codegen.compile source) in
-      Scan.pruned golden = Engine.run ~jobs ~shard_size golden)
+      Scan.pruned golden = engine_scan ~jobs ~shard_size golden)
 
 let test_engine_progress_interface () =
   let golden = Lazy.force hi_golden in
@@ -285,7 +293,7 @@ let test_engine_progress_interface () =
   let last_done = ref 0 in
   let snapshots = ref [] in
   ignore
-    (Engine.run ~jobs:1
+    (engine_scan ~jobs:1
        ~progress:(fun ~done_ ~total ~tally ->
          incr calls;
          Alcotest.(check bool) "done_ monotonic" true (done_ > !last_done);
@@ -315,14 +323,14 @@ let test_engine_bad_args () =
      authority for both the engine and the CLI, so only negative counts
      are rejected, with Pool's own message. *)
   check_scans_identical "jobs 0 = all cores" (Lazy.force hi_serial)
-    (Engine.run ~jobs:0 golden);
+    (engine_scan ~jobs:0 golden);
   Alcotest.check_raises "jobs -1"
     (Invalid_argument
        "Pool.resolve_jobs: negative job count -1 (use 0 for all cores)")
-    (fun () -> ignore (Engine.run ~jobs:(-1) golden));
+    (fun () -> ignore (engine_scan ~jobs:(-1) golden));
   Alcotest.check_raises "resume without journal"
-    (Invalid_argument "Engine.run: ~resume requires ~journal") (fun () ->
-      ignore (Engine.run ~resume:true golden))
+    (Invalid_argument "Engine: ~resume requires ~journal") (fun () ->
+      ignore (engine_scan ~resume:true golden))
 
 (* ------------------------------------------------------------------ *)
 (* Engine: journaled resume                                           *)
@@ -345,7 +353,7 @@ let test_resume_truncated_journal () =
   let serial = Lazy.force flag1_serial in
   with_temp_file (fun path ->
       (* Full journaled run, then cut the journal back mid-campaign. *)
-      let full = Engine.run ~jobs:2 ~journal:path golden in
+      let full = engine_scan ~jobs:2 ~journal:path golden in
       check_scans_identical "journaled run" serial full;
       let total_shards =
         match Journal.load path with
@@ -359,7 +367,7 @@ let test_resume_truncated_journal () =
          the rest. *)
       let final_snapshot = ref None in
       let resumed =
-        Engine.run ~jobs:2 ~journal:path ~resume:true
+        engine_scan ~jobs:2 ~journal:path ~resume:true
           ~observe:(fun s -> final_snapshot := Some s)
           golden
       in
@@ -375,7 +383,7 @@ let test_resume_truncated_journal () =
          once more conducts nothing. *)
       let snap = ref None in
       let again =
-        Engine.run ~jobs:2 ~journal:path ~resume:true
+        engine_scan ~jobs:2 ~journal:path ~resume:true
           ~observe:(fun s -> snap := Some s)
           golden
       in
@@ -397,7 +405,7 @@ let test_resume_after_crash () =
   with_temp_file (fun path ->
       let classes_at_kill = ref 0 in
       (match
-         Engine.run ~jobs:2 ~journal:path
+         engine_scan ~jobs:2 ~journal:path
            ~progress:(fun ~done_ ~total ~tally:_ ->
              if done_ > total / 3 then begin
                classes_at_kill := done_;
@@ -416,7 +424,7 @@ let test_resume_after_crash () =
       in
       let snap = ref None in
       let resumed =
-        Engine.run ~jobs:2 ~journal:path ~resume:true
+        engine_scan ~jobs:2 ~journal:path ~resume:true
           ~observe:(fun s -> snap := Some s)
           golden
       in
@@ -431,13 +439,13 @@ let test_resume_wrong_campaign () =
   let golden_hi = Lazy.force hi_golden in
   let golden_flag1 = Lazy.force flag1_golden in
   with_temp_file (fun path ->
-      ignore (Engine.run ~jobs:1 ~journal:path golden_hi);
-      (match Engine.run ~jobs:1 ~journal:path ~resume:true golden_flag1 with
+      ignore (engine_scan ~jobs:1 ~journal:path golden_hi);
+      (match engine_scan ~jobs:1 ~journal:path ~resume:true golden_flag1 with
       | _ -> Alcotest.fail "expected Journal_mismatch"
       | exception Engine.Journal_mismatch _ -> ());
       (* A different shard geometry is a different campaign, too. *)
       match
-        Engine.run ~jobs:1 ~shard_size:1000 ~journal:path ~resume:true
+        engine_scan ~jobs:1 ~shard_size:1000 ~journal:path ~resume:true
           golden_hi
       with
       | _ -> Alcotest.fail "expected Journal_mismatch (shard_size)"
@@ -447,7 +455,7 @@ let test_resume_missing_journal_starts_fresh () =
   let golden = Lazy.force hi_golden in
   with_temp_file (fun path ->
       Sys.remove path;
-      let scan = Engine.run ~jobs:1 ~journal:path ~resume:true golden in
+      let scan = engine_scan ~jobs:1 ~journal:path ~resume:true golden in
       check_scans_identical "fresh despite --resume" (Lazy.force hi_serial) scan;
       Alcotest.(check bool) "journal created" true (Sys.file_exists path))
 

@@ -1,8 +1,9 @@
 (* Tests for the pluggable fault-model subsystem (lib/faultspace): tag
    codec stability, the legacy models re-homed behind the Faultspace API
-   (differential against Scan.pruned / Regspace.scan on fixed and random
-   programs, across backends and worker counts), burst/skip determinism,
-   and fingerprint separation between models. *)
+   (differential against the serial Scan.pruned / Faultspace.scan on
+   fixed and random programs, across backends and worker counts),
+   burst/skip determinism and agreement with the replay reference, and
+   fingerprint separation between models. *)
 
 let hi_image = lazy (Hi.program ())
 let hi_golden = lazy (Golden.run (Lazy.force hi_image))
@@ -114,14 +115,17 @@ let qcheck_legacy_models_differential =
       let r = Regspace.analyze image in
       let policy = Spec.make_policy ~shard_size () in
       let mem_serial = Scan.pruned golden in
-      let reg_serial = Regspace.scan r in
+      let reg_serial = Faultspace.scan (Faultspace.of_regspace r) in
       List.for_all
         (fun backend ->
           mem_serial
-          = Engine.run_spec ~backend ~jobs
-              (Spec.of_golden ~policy ~model:Faultspace.Bitflip_mem golden)
+          = Engine.scan_exn
+              (Engine.run_spec_result ~backend ~jobs
+                 (Spec.of_golden ~policy ~model:Faultspace.Bitflip_mem golden))
           && reg_serial
-             = Engine.run_spec ~backend ~jobs (Spec.of_regspace ~policy r))
+             = Engine.scan_exn
+                 (Engine.run_spec_result ~backend ~jobs
+                    (Spec.of_regspace ~policy r)))
         [ Pool.Domains; Pool.Processes ])
 
 (* ------------------------------------------------------------------ *)
@@ -174,7 +178,9 @@ let test_skip_cell_geometry () =
     cell.Faultspace.classes
 
 let skip_scan_serial = lazy
-  (Engine.run_spec ~jobs:1 (Spec.of_golden ~model:Faultspace.Skip (Lazy.force hi_golden)))
+  (Engine.scan_exn
+     (Engine.run_spec_result ~jobs:1
+        (Spec.of_golden ~model:Faultspace.Skip (Lazy.force hi_golden))))
 
 let test_skip_campaign () =
   let golden = Lazy.force hi_golden in
@@ -211,19 +217,51 @@ let test_new_models_deterministic () =
           golden
       in
       let tag = Faultspace.tag model in
-      let serial = Engine.run_spec ~jobs:1 (spec ()) in
+      let serial =
+        Engine.scan_exn (Engine.run_spec_result ~jobs:1 (spec ()))
+      in
       List.iter
         (fun jobs ->
           check_scans_identical
             (Printf.sprintf "%s domains -j %d" tag jobs)
             serial
-            (Engine.run_spec ~jobs (spec ())))
+            (Engine.scan_exn (Engine.run_spec_result ~jobs (spec ()))))
         [ 2; 4 ];
       check_scans_identical
         (Printf.sprintf "%s processes -j 2" tag)
         serial
-        (Engine.run_spec ~backend:Pool.Processes ~jobs:2 (spec ())))
+        (Engine.scan_exn
+           (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2 (spec ()))))
     [ Faultspace.burst 2; Faultspace.burst ~row:2 3; Faultspace.Skip ]
+
+(* Burst and skip against their serial reference, on the toy program and
+   on a real suite cell: the engine at the default checkpoint plan, on
+   both local backends, must equal [Faultspace.scan] over the replay
+   provider (restart from reset, no acceleration at all). *)
+let test_new_models_match_serial_reference () =
+  List.iter
+    (fun (name, golden) ->
+      List.iter
+        (fun model ->
+          let reference =
+            Faultspace.scan ~provider:(Injector.replay golden)
+              (Faultspace.of_golden model golden)
+          in
+          List.iter
+            (fun backend ->
+              check_scans_identical
+                (Printf.sprintf "%s %s %s -j 2" name (Faultspace.tag model)
+                   (Pool.backend_tag backend))
+                reference
+                (Engine.scan_exn
+                   (Engine.run_spec_result ~backend ~jobs:2
+                      (Spec.of_golden ~model golden))))
+            [ Pool.Domains; Pool.Processes ])
+        [ Faultspace.burst 3; Faultspace.burst ~row:2 3; Faultspace.Skip ])
+    [
+      ("hi", Lazy.force hi_golden);
+      ("flag1/baseline", Golden.run (Flag1.baseline ()));
+    ]
 
 let test_new_models_over_sockets () =
   (* One remote round per new model: the wire job carries the model, the
@@ -243,10 +281,11 @@ let test_new_models_over_sockets () =
               in
               check_scans_identical
                 (Printf.sprintf "%s sockets" (Faultspace.tag model))
-                (Engine.run_spec ~jobs:1 (spec ()))
-                (Engine.run_spec
-                   ~backend:(Pool.Sockets [ Addr.to_string addr ])
-                   ~jobs:2 (spec ())))
+                (Engine.scan_exn (Engine.run_spec_result ~jobs:1 (spec ())))
+                (Engine.scan_exn
+                   (Engine.run_spec_result
+                      ~backend:(Pool.Sockets [ Addr.to_string addr ])
+                      ~jobs:2 (spec ()))))
             [ Faultspace.burst 2; Faultspace.Skip ])
 
 (* ------------------------------------------------------------------ *)
@@ -281,6 +320,8 @@ let suite =
         test_skip_campaign;
       Alcotest.test_case "burst/skip deterministic across backends" `Slow
         test_new_models_deterministic;
+      Alcotest.test_case "burst/skip engine = serial replay reference" `Slow
+        test_new_models_match_serial_reference;
       Alcotest.test_case "burst/skip over the sockets backend" `Slow
         test_new_models_over_sockets;
       Alcotest.test_case "model fingerprints distinct" `Quick

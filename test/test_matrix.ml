@@ -1,6 +1,7 @@
 (* Tests for the campaign-spec API (lib/engine Spec/Catalog + the matrix
    scheduler): weighted shard sizing, register-space campaigns through
-   the engine (bit-identical to Regspace.scan for any worker count),
+   the engine (bit-identical to the serial Faultspace.scan for any worker
+   count),
    fingerprint separation of spaces and sizing policies, journal
    catalogue lookup, cross-space resume rejection, and matrix runs where
    only some cells have journals. *)
@@ -12,7 +13,8 @@
 let hi_golden = lazy (Golden.run (Hi.program ()))
 let hi_serial = lazy (Scan.pruned (Lazy.force hi_golden))
 let hi_regspace = lazy (Regspace.analyze (Hi.program ()))
-let hi_reg_serial = lazy (Regspace.scan (Lazy.force hi_regspace))
+let hi_reg_serial =
+  lazy (Faultspace.scan (Faultspace.of_regspace (Lazy.force hi_regspace)))
 let flag1_golden = lazy (Golden.run (Flag1.baseline ()))
 let flag1_serial = lazy (Scan.pruned (Lazy.force flag1_golden))
 
@@ -98,7 +100,8 @@ let test_weighted_engine_equals_serial () =
   let policy = Spec.make_policy ~weighted:true () in
   check_scans_identical "hi weighted shards"
     (Lazy.force hi_serial)
-    (Engine.run_spec ~jobs:2 (Spec.of_golden ~policy golden))
+    (Engine.scan_exn
+       (Engine.run_spec_result ~jobs:2 (Spec.of_golden ~policy golden)))
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints: space and sizing are part of the identity            *)
@@ -130,11 +133,11 @@ let test_register_engine_equals_scan () =
       check_scans_identical
         (Printf.sprintf "hi registers -j %d" jobs)
         serial
-        (Engine.run_spec ~jobs (Spec.of_regspace r)))
+        (Engine.scan_exn (Engine.run_spec_result ~jobs (Spec.of_regspace r))))
     [ 1; 2; 4 ]
 
-(* Register engine == Regspace.scan on random compiled MIR programs with
-   random shard geometry and worker counts. *)
+(* Register engine == serial Faultspace.scan on random compiled MIR
+   programs with random shard geometry and worker counts. *)
 let qcheck_register_engine_equals_scan =
   QCheck.Test.make ~name:"register engine equals Regspace.scan on random programs"
     ~count:4
@@ -158,14 +161,19 @@ let qcheck_register_engine_equals_scan =
       in
       let r = Regspace.analyze (Codegen.compile source) in
       let policy = Spec.make_policy ~shard_size () in
-      Regspace.scan r = Engine.run_spec ~jobs (Spec.of_regspace ~policy r))
+      Faultspace.scan (Faultspace.of_regspace r)
+      = Engine.scan_exn
+          (Engine.run_spec_result ~jobs (Spec.of_regspace ~policy r)))
 
 let test_register_journal_resume () =
   let r = Lazy.force hi_regspace in
   let serial = Lazy.force hi_reg_serial in
   with_temp_file (fun path ->
       let policy = Spec.make_policy ~shard_size:4 ~journal:path () in
-      let full = Engine.run_spec ~jobs:2 (Spec.of_regspace ~policy r) in
+      let full =
+        Engine.scan_exn
+          (Engine.run_spec_result ~jobs:2 (Spec.of_regspace ~policy r))
+      in
       check_scans_identical "journaled register run" serial full;
       let total_shards =
         match Journal.load path with
@@ -176,15 +184,16 @@ let test_register_journal_resume () =
       truncate_journal_to path ~records:(total_shards / 2);
       let snap = ref None in
       let resumed =
-        Engine.run_spec ~jobs:2
-          ~observe:(fun s -> snap := Some s)
-          (Spec.of_regspace
-             ~policy:
-               { policy with
-                 Spec.durability =
-                   { policy.Spec.durability with Spec.resume = true };
-               }
-             r)
+        Engine.scan_exn
+          (Engine.run_spec_result ~jobs:2
+             ~observe:(fun s -> snap := Some s)
+             (Spec.of_regspace
+                ~policy:
+                  { policy with
+                    Spec.durability =
+                      { policy.Spec.durability with Spec.resume = true };
+                  }
+                r))
       in
       check_scans_identical "resumed = uninterrupted" serial resumed;
       match !snap with
@@ -200,27 +209,32 @@ let test_cross_space_resume_rejected () =
   let r = Lazy.force hi_regspace in
   with_temp_file (fun path ->
       (* Memory journal, register resume. *)
-      ignore (Engine.run ~jobs:1 ~journal:path golden);
+      ignore
+        (Engine.run_spec_result ~jobs:1
+           (Spec.of_golden
+              ~policy:(Spec.make_policy ~journal:path ())
+              golden));
       let reg_resume =
         Spec.of_regspace
           ~policy:(Spec.make_policy ~journal:path ~resume:true ())
           r
       in
-      (match Engine.run_spec ~jobs:1 reg_resume with
+      (match Engine.scan_exn (Engine.run_spec_result ~jobs:1 reg_resume) with
       | _ -> Alcotest.fail "register resume accepted a memory journal"
       | exception Engine.Journal_mismatch _ -> ());
       (* Register journal, memory resume. *)
       ignore
-        (Engine.run_spec ~jobs:1
-           (Spec.of_regspace
-              ~policy:(Spec.make_policy ~journal:path ())
-              r));
+        (Engine.scan_exn
+           (Engine.run_spec_result ~jobs:1
+              (Spec.of_regspace
+                 ~policy:(Spec.make_policy ~journal:path ())
+                 r)));
       let mem_resume =
         Spec.of_golden
           ~policy:(Spec.make_policy ~journal:path ~resume:true ())
           golden
       in
-      match Engine.run_spec ~jobs:1 mem_resume with
+      match Engine.scan_exn (Engine.run_spec_result ~jobs:1 mem_resume) with
       | _ -> Alcotest.fail "memory resume accepted a register journal"
       | exception Engine.Journal_mismatch _ -> ())
 
@@ -239,7 +253,9 @@ let test_matrix_small_cells () =
   in
   List.iter
     (fun jobs ->
-      match Engine.run_matrix ~jobs (specs ()) with
+      match
+        List.map Engine.scan_exn (Engine.run_matrix_results ~jobs (specs ()))
+      with
       | [ flag1; hi_reg; hi_mem ] ->
           check_scans_identical
             (Printf.sprintf "flag1 cell -j %d" jobs)
@@ -261,12 +277,13 @@ let test_matrix_aggregate_progress () =
   let seen = ref [] in
   let final = ref None in
   let scans =
-    Engine.run_matrix ~jobs:2
-      ~progress:(fun spec ->
-        seen := Spec.label spec :: !seen;
-        Scan.no_progress)
-      ~observe:(fun s -> final := Some s)
-      specs
+    List.map Engine.scan_exn
+      (Engine.run_matrix_results ~jobs:2
+         ~progress:(fun spec ->
+           seen := Spec.label spec :: !seen;
+           Scan.no_progress)
+         ~observe:(fun s -> final := Some s)
+         specs)
   in
   Alcotest.(check (list string))
     "per-cell progress factory sees every spec" [ "hi/baseline"; "hi/baseline@registers" ]
@@ -292,7 +309,10 @@ let test_matrix_partial_journals () =
           (Lazy.force flag1_golden)
       in
       let bare = Spec.of_golden (Lazy.force hi_golden) in
-      (match Engine.run_matrix ~jobs:2 [ journaled false; bare ] with
+      (match
+         List.map Engine.scan_exn
+           (Engine.run_matrix_results ~jobs:2 [ journaled false; bare ])
+       with
       | [ flag1; hi ] ->
           check_scans_identical "journaled cell" (Lazy.force flag1_serial) flag1;
           check_scans_identical "bare cell" (Lazy.force hi_serial) hi
@@ -305,9 +325,10 @@ let test_matrix_partial_journals () =
       truncate_journal_to path ~records:(total_shards / 2);
       let final = ref None in
       match
-        Engine.run_matrix ~jobs:2
-          ~observe:(fun s -> final := Some s)
-          [ journaled true; bare ]
+        List.map Engine.scan_exn
+          (Engine.run_matrix_results ~jobs:2
+             ~observe:(fun s -> final := Some s)
+             [ journaled true; bare ])
       with
       | [ flag1; hi ] -> (
           check_scans_identical "resumed cell" (Lazy.force flag1_serial) flag1;
@@ -359,7 +380,9 @@ let test_catalogue_resume_by_fingerprint () =
           ~policy:(Spec.make_policy ~catalogue:dir ~resume ())
           (Lazy.force hi_golden)
       in
-      let first = Engine.run_spec ~jobs:2 (spec false) in
+      let first =
+        Engine.scan_exn (Engine.run_spec_result ~jobs:2 (spec false))
+      in
       check_scans_identical "catalogued run" (Lazy.force hi_serial) first;
       let fp = Engine.fingerprint_spec (spec false) in
       (match Catalog.lookup ~dir ~fingerprint:fp with
@@ -371,7 +394,9 @@ let test_catalogue_resume_by_fingerprint () =
          re-conducted. *)
       let snap = ref None in
       let resumed =
-        Engine.run_spec ~jobs:2 ~observe:(fun s -> snap := Some s) (spec true)
+        Engine.scan_exn
+          (Engine.run_spec_result ~jobs:2 ~observe:(fun s -> snap := Some s)
+             (spec true))
       in
       check_scans_identical "resumed from catalogue" (Lazy.force hi_serial)
         resumed;
@@ -388,8 +413,8 @@ let test_resume_needs_journal_or_catalogue () =
       (Lazy.force hi_golden)
   in
   Alcotest.check_raises "resume without journal or catalogue"
-    (Invalid_argument "Engine.run: ~resume requires ~journal") (fun () ->
-      ignore (Engine.run_spec spec))
+    (Invalid_argument "Engine: ~resume requires ~journal") (fun () ->
+      ignore (Engine.scan_exn (Engine.run_spec_result spec)))
 
 (* ------------------------------------------------------------------ *)
 (* The paper matrix                                                   *)
@@ -405,7 +430,10 @@ let test_paper_matrix_equals_serial () =
           Scan.pruned ~variant:"sum+dmr" (Golden.run (hardened ())) ])
       Suite.paper_pairs
   in
-  let scans = Engine.run_matrix ~jobs:2 (Suite.paper_specs ()) in
+  let scans =
+    List.map Engine.scan_exn
+      (Engine.run_matrix_results ~jobs:2 (Suite.paper_specs ()))
+  in
   List.iteri
     (fun i (expected, got) ->
       check_scans_identical

@@ -124,7 +124,9 @@ let test_samplers_agree () =
 (* ------------------------------------------------------------------ *)
 
 let test_register_scan_csv () =
-  let scan = Regspace.scan (Regspace.analyze (Hi.program ())) in
+  let scan =
+    Faultspace.scan (Faultspace.analyse Faultspace.Bitflip_reg (Hi.program ()))
+  in
   match Csv_io.of_string (Csv_io.to_string scan) with
   | Error e -> Alcotest.fail e
   | Ok scan' ->

@@ -416,8 +416,9 @@ let test_resolve_jobs_sockets () =
   Alcotest.(check bool) "tag roundtrip" true
     (Pool.backend_of_string (Pool.backend_tag sockets) = Some (Pool.Sockets []));
   match
-    Engine.run_spec ~backend:(Pool.Sockets [])
-      (Spec.of_golden (Lazy.force hi_golden))
+    Engine.scan_exn
+      (Engine.run_spec_result ~backend:(Pool.Sockets [])
+         (Spec.of_golden (Lazy.force hi_golden)))
   with
   | _ -> Alcotest.fail "Sockets [] must be rejected"
   | exception Invalid_argument _ -> ()
@@ -537,28 +538,32 @@ let test_sockets_equal_serial_memory () =
       List.iter
         (fun jobs ->
           let sock =
-            Engine.run_spec ~backend:(sockets_of addr) ~jobs spec
+            Engine.scan_exn
+              (Engine.run_spec_result ~backend:(sockets_of addr) ~jobs spec)
           in
           check_scans_identical
             (Printf.sprintf "hi sockets -j %d = serial" jobs)
             serial sock;
           check_scans_identical
             (Printf.sprintf "hi sockets -j %d = processes" jobs)
-            (Engine.run_spec ~backend:Pool.Processes ~jobs:2 spec)
+            (Engine.scan_exn
+               (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2 spec))
             sock;
           check_scans_identical
             (Printf.sprintf "hi sockets -j %d = domains" jobs)
-            (Engine.run_spec ~backend:Pool.Domains ~jobs:2 spec)
+            (Engine.scan_exn
+               (Engine.run_spec_result ~backend:Pool.Domains ~jobs:2 spec))
             sock)
         [ 1; 2; 0 ])
 
 let test_sockets_equal_serial_registers () =
   let rs = Lazy.force hi_regs in
-  let serial = Regspace.scan rs in
+  let serial = Faultspace.scan (Faultspace.of_regspace rs) in
   with_daemon (fun addr ->
       check_scans_identical "hi registers sockets = serial" serial
-        (Engine.run_spec ~backend:(sockets_of addr) ~jobs:2
-           (Spec.of_regspace rs)))
+        (Engine.scan_exn
+           (Engine.run_spec_result ~backend:(sockets_of addr) ~jobs:2
+              (Spec.of_regspace rs))))
 
 let test_sockets_matrix () =
   let specs =
@@ -571,16 +576,17 @@ let test_sockets_matrix () =
   let serials =
     [
       Lazy.force hi_serial;
-      Regspace.scan (Lazy.force hi_regs);
+      Faultspace.scan (Faultspace.of_regspace (Lazy.force hi_regs));
       Lazy.force flag1_serial;
     ]
   in
   with_daemon (fun addr ->
       let snap = ref None in
       let scans =
-        Engine.run_matrix ~backend:(sockets_of addr) ~jobs:2
-          ~observe:(fun s -> snap := Some s)
-          specs
+        List.map Engine.scan_exn
+          (Engine.run_matrix_results ~backend:(sockets_of addr) ~jobs:2
+             ~observe:(fun s -> snap := Some s)
+             specs)
       in
       List.iteri
         (fun i (serial, scan) ->
@@ -619,7 +625,9 @@ let test_remote_crash_and_resume () =
       with_torture "exit:0:0" (fun () ->
           with_daemon (fun addr ->
               match
-                Engine.run_spec ~backend:(sockets_of addr) ~jobs:2 (spec false)
+                Engine.scan_exn
+                  (Engine.run_spec_result ~backend:(sockets_of addr) ~jobs:2
+                     (spec false))
               with
               | _ -> Alcotest.fail "expected Worker_failed"
               | exception Engine.Worker_failed msg ->
@@ -631,7 +639,9 @@ let test_remote_crash_and_resume () =
       (* The crashed daemon is gone; a fresh fleet heals the campaign. *)
       with_daemon (fun addr ->
           let resumed =
-            Engine.run_spec ~backend:(sockets_of addr) ~jobs:2 (spec true)
+            Engine.scan_exn
+              (Engine.run_spec_result ~backend:(sockets_of addr) ~jobs:2
+                 (spec true))
           in
           check_scans_identical "remote crash + resume = serial" serial
             resumed))

@@ -71,25 +71,31 @@ let test_processes_equal_serial_memory () =
   let spec = Spec.of_golden (Lazy.force hi_golden) in
   List.iter
     (fun jobs ->
-      let proc = Engine.run_spec ~backend:Pool.Processes ~jobs spec in
+      let proc =
+        Engine.scan_exn
+          (Engine.run_spec_result ~backend:Pool.Processes ~jobs spec)
+      in
       check_scans_identical
         (Printf.sprintf "hi processes -j %d = serial" jobs)
         serial proc;
       check_scans_identical
         (Printf.sprintf "hi processes -j %d = domains" jobs)
-        (Engine.run_spec ~backend:Pool.Domains ~jobs spec)
+        (Engine.scan_exn
+           (Engine.run_spec_result ~backend:Pool.Domains ~jobs spec))
         proc)
     [ 1; 2; 4 ]
 
 let test_processes_equal_serial_registers () =
   let rs = Lazy.force hi_regs in
-  let serial = Regspace.scan rs in
+  let serial = Faultspace.scan (Faultspace.of_regspace rs) in
   List.iter
     (fun jobs ->
       check_scans_identical
         (Printf.sprintf "hi registers processes -j %d" jobs)
         serial
-        (Engine.run_spec ~backend:Pool.Processes ~jobs (Spec.of_regspace rs)))
+        (Engine.scan_exn
+           (Engine.run_spec_result ~backend:Pool.Processes ~jobs
+              (Spec.of_regspace rs))))
     [ 1; 2 ]
 
 let test_processes_matrix () =
@@ -103,15 +109,16 @@ let test_processes_matrix () =
   let serials =
     [
       Lazy.force hi_serial;
-      Regspace.scan (Lazy.force hi_regs);
+      Faultspace.scan (Faultspace.of_regspace (Lazy.force hi_regs));
       Lazy.force flag1_serial;
     ]
   in
   let snap = ref None in
   let scans =
-    Engine.run_matrix ~backend:Pool.Processes ~jobs:2
-      ~observe:(fun s -> snap := Some s)
-      specs
+    List.map Engine.scan_exn
+      (Engine.run_matrix_results ~backend:Pool.Processes ~jobs:2
+         ~observe:(fun s -> snap := Some s)
+         specs)
   in
   List.iteri
     (fun i (serial, scan) ->
@@ -150,7 +157,9 @@ let qcheck_processes_equal_serial =
       in
       let golden = Golden.run (Codegen.compile source) in
       Scan.pruned golden
-      = Engine.run_spec ~backend:Pool.Processes ~jobs (Spec.of_golden golden))
+      = Engine.scan_exn
+          (Engine.run_spec_result ~backend:Pool.Processes ~jobs
+             (Spec.of_golden golden)))
 
 (* ------------------------------------------------------------------ *)
 (* Journaled resume under the process backend                         *)
@@ -164,8 +173,9 @@ let test_processes_resume () =
   let golden = Lazy.force flag1_golden in
   with_temp_file (fun path ->
       let full =
-        Engine.run_spec ~backend:Pool.Processes ~jobs:2
-          (Spec.of_golden ~policy:(policy ~journal:path ()) golden)
+        Engine.scan_exn
+          (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+             (Spec.of_golden ~policy:(policy ~journal:path ()) golden))
       in
       check_scans_identical "journaled process run" serial full;
       (* Cut the journal back to half its shards plus a torn tail. *)
@@ -177,9 +187,12 @@ let test_processes_resume () =
         ^ "\nf00dfeed torn-shard-rec");
       let snap = ref None in
       let resumed =
-        Engine.run_spec ~backend:Pool.Processes ~jobs:2
-          ~observe:(fun s -> snap := Some s)
-          (Spec.of_golden ~policy:(policy ~journal:path ~resume:true ()) golden)
+        Engine.scan_exn
+          (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+             ~observe:(fun s -> snap := Some s)
+             (Spec.of_golden
+                ~policy:(policy ~journal:path ~resume:true ())
+                golden))
       in
       check_scans_identical "process resume = uninterrupted" serial resumed;
       match !snap with
@@ -197,10 +210,11 @@ let test_processes_resume () =
 let journaled_run ?(shard_size = 1) () =
   with_temp_file (fun path ->
       ignore
-        (Engine.run_spec ~jobs:1
-           (Spec.of_golden
-              ~policy:(policy ~journal:path ~shard_size ())
-              (Lazy.force hi_golden)));
+        (Engine.scan_exn
+           (Engine.run_spec_result ~jobs:1
+              (Spec.of_golden
+                 ~policy:(policy ~journal:path ~shard_size ())
+                 (Lazy.force hi_golden))));
       read_file path)
 
 let test_replay_classification () =
@@ -235,10 +249,11 @@ let test_resume_rejects_corrupt_journal () =
         (String.mapi (fun i c -> if i = target then 'X' else c) text);
       let resume () =
         ignore
-          (Engine.run_spec ~jobs:1
-             (Spec.of_golden
-                ~policy:(policy ~journal:path ~resume:true ~shard_size:1 ())
-                golden))
+          (Engine.scan_exn
+             (Engine.run_spec_result ~jobs:1
+                (Spec.of_golden
+                   ~policy:(policy ~journal:path ~resume:true ~shard_size:1 ())
+                   golden)))
       in
       (match resume () with
       | () -> Alcotest.fail "expected Journal_mismatch on corruption"
@@ -264,10 +279,11 @@ let test_resume_rejects_duplicate_record () =
       in
       write_file path (text ^ first_record ^ "\n");
       match
-        Engine.run_spec ~jobs:1
-          (Spec.of_golden
-             ~policy:(policy ~journal:path ~resume:true ~shard_size:1 ())
-             golden)
+        Engine.scan_exn
+          (Engine.run_spec_result ~jobs:1
+             (Spec.of_golden
+                ~policy:(policy ~journal:path ~resume:true ~shard_size:1 ())
+                golden))
       with
       | _ -> Alcotest.fail "expected Journal_mismatch on duplicate"
       | exception Engine.Journal_mismatch msg ->
@@ -296,7 +312,9 @@ let test_worker_crash_and_resume () =
          journal valid, and resume to the bit-identical result. *)
       (match
          with_torture "exit:0:0" (fun () ->
-             Engine.run_spec ~backend:Pool.Processes ~jobs:2 (spec false))
+             Engine.scan_exn
+               (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+                  (spec false)))
        with
       | _ -> Alcotest.fail "expected Worker_failed"
       | exception Engine.Worker_failed msg ->
@@ -306,7 +324,8 @@ let test_worker_crash_and_resume () =
       | Some (_, _, Journal.Clean) -> ()
       | _ -> Alcotest.fail "journal not CRC-valid after worker death");
       let resumed =
-        Engine.run_spec ~backend:Pool.Processes ~jobs:2 (spec true)
+        Engine.scan_exn
+          (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2 (spec true))
       in
       check_scans_identical "crash + resume = serial" serial resumed)
 

@@ -222,10 +222,11 @@ let test_scan_only_raises_on_quarantine () =
   let golden = Lazy.force hi_golden in
   match
     with_torture "poison:1" (fun () ->
-        Engine.run_spec ~backend:Pool.Processes ~jobs:2
-          (Spec.of_golden
-             ~policy:(sup_policy ~max_retries:0 ~quarantine:true ())
-             golden))
+        Engine.scan_exn
+          (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+             (Spec.of_golden
+                ~policy:(sup_policy ~max_retries:0 ~quarantine:true ())
+                golden)))
   with
   | _ -> Alcotest.fail "expected Worker_failed"
   | exception Engine.Worker_failed msg ->
@@ -240,10 +241,11 @@ let test_journal_finished () =
   let golden = Lazy.force hi_golden in
   with_temp_file (fun path ->
       ignore
-        (Engine.run_spec ~jobs:1
-           (Spec.of_golden
-              ~policy:(Spec.make_policy ~journal:path ~shard_size:1 ())
-              golden));
+        (Engine.scan_exn
+           (Engine.run_spec_result ~jobs:1
+              (Spec.of_golden
+                 ~policy:(Spec.make_policy ~journal:path ~shard_size:1 ())
+                 golden)));
       Alcotest.(check bool) "complete journal finished" true
         (Runcell.journal_finished path);
       (* Drop the last shard record: unfinished. *)

@@ -62,8 +62,9 @@ let test_differential_fixtures () =
           check_scans_identical
             (Printf.sprintf "%s processes -j %d" name jobs)
             (Lazy.force serial)
-            (Engine.run_spec ~backend:Pool.Processes ~jobs
-               (Spec.of_golden (Lazy.force golden))))
+            (Engine.scan_exn
+               (Engine.run_spec_result ~backend:Pool.Processes ~jobs
+                  (Spec.of_golden (Lazy.force golden)))))
         [ 1; 2; 3 ])
     [ ("hi", hi_serial, hi_golden); ("flag1", flag1_serial, flag1_golden) ]
 
@@ -87,7 +88,9 @@ let crash_round_trip mode =
          with_torture
            (Printf.sprintf "%s:1" mode)
            (fun () ->
-             Engine.run_spec ~backend:Pool.Processes ~jobs:2 (spec false))
+             Engine.scan_exn
+               (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+                  (spec false)))
        with
       | _ -> Alcotest.failf "%s: expected Worker_failed" mode
       | exception Engine.Worker_failed msg ->
@@ -108,9 +111,10 @@ let crash_round_trip mode =
       | None -> Alcotest.failf "%s: campaign journal unreadable" mode);
       let snap = ref None in
       let resumed =
-        Engine.run_spec ~backend:Pool.Processes ~jobs:2
-          ~observe:(fun s -> snap := Some s)
-          (spec true)
+        Engine.scan_exn
+          (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+             ~observe:(fun s -> snap := Some s)
+             (spec true))
       in
       check_scans_identical (mode ^ ": crash + resume = serial") serial resumed;
       match !snap with
@@ -132,18 +136,20 @@ let test_crash_immediately () =
   with_temp_file (fun path ->
       (match
          with_torture "sigkill:0" (fun () ->
-             Engine.run_spec ~backend:Pool.Processes ~jobs:2
-               (Spec.of_golden
-                  ~policy:(policy ~journal:path ~shard_size:1 ())
-                  golden))
+             Engine.scan_exn
+               (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+                  (Spec.of_golden
+                     ~policy:(policy ~journal:path ~shard_size:1 ())
+                     golden)))
        with
       | _ -> Alcotest.fail "expected Worker_failed"
       | exception Engine.Worker_failed _ -> ());
       let resumed =
-        Engine.run_spec ~backend:Pool.Processes ~jobs:2
-          (Spec.of_golden
-             ~policy:(policy ~journal:path ~resume:true ~shard_size:1 ())
-             golden)
+        Engine.scan_exn
+          (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+             (Spec.of_golden
+                ~policy:(policy ~journal:path ~resume:true ~shard_size:1 ())
+                golden))
       in
       check_scans_identical "immediate kill + resume" serial resumed)
 
@@ -165,16 +171,18 @@ let test_crash_stride_churn () =
       in
       (match
          with_torture "sigkill:1" (fun () ->
-             Engine.run_spec ~backend:Pool.Processes ~jobs:2
-               (spec ~resume:false ~stride:8))
+             Engine.scan_exn
+               (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+                  (spec ~resume:false ~stride:8)))
        with
       | _ -> Alcotest.fail "expected Worker_failed"
       | exception Engine.Worker_failed _ -> ());
       let snap = ref None in
       let resumed =
-        Engine.run_spec ~backend:Pool.Processes ~jobs:2
-          ~observe:(fun s -> snap := Some s)
-          (spec ~resume:true ~stride:0)
+        Engine.scan_exn
+          (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+             ~observe:(fun s -> snap := Some s)
+             (spec ~resume:true ~stride:0))
       in
       check_scans_identical "crash at stride 8, resume at stride 0" serial
         resumed;
@@ -214,7 +222,9 @@ let qcheck_differential_memory =
     (fun (seed, jobs) ->
       let golden = random_golden seed in
       Scan.pruned golden
-      = Engine.run_spec ~backend:Pool.Processes ~jobs (Spec.of_golden golden))
+      = Engine.scan_exn
+          (Engine.run_spec_result ~backend:Pool.Processes ~jobs
+             (Spec.of_golden golden)))
 
 let qcheck_differential_registers =
   QCheck.Test.make
@@ -234,8 +244,10 @@ let qcheck_differential_registers =
           ]
       in
       let rs = Regspace.analyze (Codegen.compile source) in
-      Regspace.scan rs
-      = Engine.run_spec ~backend:Pool.Processes ~jobs (Spec.of_regspace rs))
+      Faultspace.scan (Faultspace.of_regspace rs)
+      = Engine.scan_exn
+          (Engine.run_spec_result ~backend:Pool.Processes ~jobs
+             (Spec.of_regspace rs)))
 
 (* ------------------------------------------------------------------ *)
 (* Supervision: heal, exhaust, quarantine — and compose with resume   *)
@@ -288,11 +300,13 @@ let test_retry_exhaustion_then_resume () =
   with_temp_file (fun path ->
       (match
          with_torture "poison:0" (fun () ->
-             Engine.run_spec ~backend:Pool.Processes ~jobs:2
-               (Spec.of_golden
-                  ~policy:
-                    (sup_policy ~journal:path ~shard_size:1 ~max_retries:1 ())
-                  golden))
+             Engine.scan_exn
+               (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+                  (Spec.of_golden
+                     ~policy:
+                       (sup_policy ~journal:path ~shard_size:1
+                          ~max_retries:1 ())
+                     golden)))
        with
       | _ -> Alcotest.fail "expected Worker_failed on budget exhaustion"
       | exception Engine.Worker_failed msg ->
@@ -316,13 +330,14 @@ let test_retry_exhaustion_then_resume () =
       | _ -> Alcotest.fail "campaign journal not clean after exhaustion");
       let snap = ref None in
       let resumed =
-        Engine.run_spec ~backend:Pool.Processes ~jobs:2
-          ~observe:(fun s -> snap := Some s)
-          (Spec.of_golden
-             ~policy:
-               (sup_policy ~journal:path ~resume:true ~shard_size:1
-                  ~max_retries:1 ())
-             golden)
+        Engine.scan_exn
+          (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+             ~observe:(fun s -> snap := Some s)
+             (Spec.of_golden
+                ~policy:
+                  (sup_policy ~journal:path ~resume:true ~shard_size:1
+                     ~max_retries:1 ())
+                golden))
       in
       check_scans_identical "exhaustion + resume = serial" serial resumed;
       match !snap with
@@ -459,13 +474,17 @@ let qcheck_sigkill_resume =
           let died =
             match
               with_torture "sigkill:1" (fun () ->
-                  Engine.run_spec ~backend:Pool.Processes ~jobs:2 (spec false))
+                  Engine.scan_exn
+                    (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+                       (spec false)))
             with
             | _ -> false
             | exception Engine.Worker_failed _ -> true
           in
           let resumed =
-            Engine.run_spec ~backend:Pool.Processes ~jobs:2 (spec true)
+            Engine.scan_exn
+              (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+                 (spec true))
           in
           died && Scan.pruned golden = resumed))
 
@@ -507,7 +526,9 @@ let net_round_trip mode =
         (fun () ->
           with_daemon (fun addr ->
               match
-                Engine.run_spec ~backend:(sockets_of addr) ~jobs:2 (spec false)
+                Engine.scan_exn
+                  (Engine.run_spec_result ~backend:(sockets_of addr) ~jobs:2
+                     (spec false))
               with
               | _ -> Alcotest.failf "net %s: expected Worker_failed" mode
               | exception Engine.Worker_failed msg ->
@@ -527,9 +548,10 @@ let net_round_trip mode =
       let snap = ref None in
       let resumed =
         with_daemon (fun addr ->
-            Engine.run_spec ~backend:(sockets_of addr) ~jobs:2
-              ~observe:(fun s -> snap := Some s)
-              (spec true))
+            Engine.scan_exn
+              (Engine.run_spec_result ~backend:(sockets_of addr) ~jobs:2
+                 ~observe:(fun s -> snap := Some s)
+                 (spec true)))
       in
       check_scans_identical
         (mode ^ ": remote crash + fresh fleet + resume = serial")
@@ -655,8 +677,9 @@ let test_net_half_open () =
               | Ok _ -> Alcotest.fail "half-open peer passed the probe"
               | Error _ -> ());
               match
-                Engine.run_spec ~backend:(sockets_of addr) ~jobs:1
-                  (Spec.of_golden (Lazy.force hi_golden))
+                Engine.scan_exn
+                  (Engine.run_spec_result ~backend:(sockets_of addr) ~jobs:1
+                     (Spec.of_golden (Lazy.force hi_golden)))
               with
               | _ -> Alcotest.fail "expected Worker_failed"
               | exception Engine.Worker_failed msg ->
@@ -684,14 +707,16 @@ let test_net_daemon_vanishes_then_resume () =
             ~finally:(fun () -> if not !killed then Remote.kill_daemon pid)
             (fun () ->
               match
-                Engine.run_spec ~backend:(sockets_of addr) ~jobs:2
-                  ~observe:(fun s ->
-                    (* First merged shard: pull the plug on the fleet. *)
-                    if (not !killed) && s.Progress.shards_done >= 1 then begin
-                      killed := true;
-                      Remote.kill_daemon pid
-                    end)
-                  (spec false)
+                Engine.scan_exn
+                  (Engine.run_spec_result ~backend:(sockets_of addr) ~jobs:2
+                     ~observe:(fun s ->
+                       (* First merged shard: pull the plug on the fleet. *)
+                       if (not !killed) && s.Progress.shards_done >= 1 then
+                       begin
+                         killed := true;
+                         Remote.kill_daemon pid
+                       end)
+                     (spec false))
               with
               | _ -> Alcotest.fail "expected Worker_failed"
               | exception Engine.Worker_failed _ ->
@@ -704,7 +729,9 @@ let test_net_daemon_vanishes_then_resume () =
       | _ -> Alcotest.fail "campaign journal not clean after daemon death");
       let resumed =
         with_daemon (fun addr ->
-            Engine.run_spec ~backend:(sockets_of addr) ~jobs:2 (spec true))
+            Engine.scan_exn
+              (Engine.run_spec_result ~backend:(sockets_of addr) ~jobs:2
+                 (spec true)))
       in
       check_scans_identical "vanished fleet + resume = serial" serial resumed)
 
