@@ -302,6 +302,54 @@ let run_engine_parallel () =
   close_out oc;
   Printf.printf "wrote BENCH_engine.json\n"
 
+(* [Faultspace.scan] of [cell] on a checkpoint plan, with the exit-path
+   counters of the session it conducted on. *)
+let plan_scan (cell : Faultspace.cell) =
+  let provider = Injector.plan cell.Faultspace.golden in
+  let session = ref (Injector.session provider) in
+  let conduct s c ~bit_in_byte =
+    session := s;
+    cell.Faultspace.conduct s c ~bit_in_byte
+  in
+  let scan = Faultspace.scan ~provider { cell with Faultspace.conduct } in
+  (scan, Injector.session_stats !session)
+
+(* Print a plan scan's exit-path counters.  Returns [false] unless they
+   account for every experiment of [scan]: the runs sum to its
+   experiments, and its Timeouts are exactly the proven plus the
+   watchdog-bound runs. *)
+let print_exit_paths label (scan : Scan.t) (st : Injector.session_stats) =
+  let paths = Injector.exit_paths st in
+  Printf.printf "%s exit paths   :       runs        cycles  cycles/run\n"
+    label;
+  List.iter
+    (fun (name, (p : Injector.path_stats)) ->
+      Printf.printf "  %-24s: %10d %13d %11.0f\n" name p.runs p.cycles
+        (if p.runs = 0 then 0. else float p.cycles /. float p.runs))
+    paths;
+  Printf.printf "  %-24s: %10d failed %d (%d cycles)\n" "proof attempts"
+    st.proof_attempts st.failed_proofs st.failed_proof_cycles;
+  let runs =
+    List.fold_left (fun n (_, (p : Injector.path_stats)) -> n + p.runs) 0 paths
+  in
+  let timeouts =
+    Array.fold_left
+      (fun n e -> if e.Scan.outcome = Outcome.Timeout then n + 1 else n)
+      0 scan.Scan.experiments
+  in
+  let ok =
+    runs = Array.length scan.Scan.experiments
+    && timeouts = st.loop_proof.runs + st.watchdog.runs
+  in
+  if not ok then
+    Printf.eprintf
+      "engine-checkpoint: %s exit-path counters do not account for the \
+       campaign (%d runs for %d experiments; %d timeouts vs %d proven + %d \
+       watchdog)\n"
+      label runs (Array.length scan.Scan.experiments) timeouts
+      st.loop_proof.runs st.watchdog.runs;
+  ok
+
 let run_engine_checkpoint () =
   section
     "ENGK | Checkpoint-plan hot path: snapshot sessions vs replay-from-reset \
@@ -321,18 +369,15 @@ let run_engine_checkpoint () =
   let replay_mem, t_mr =
     time (fun () -> Scan.pruned ~provider:(Injector.replay golden) golden)
   in
-  let plan_mem, t_mp =
-    time (fun () -> Scan.pruned ~provider:(Injector.plan golden) golden)
-  in
+  let mem = Faultspace.of_golden Faultspace.Bitflip_mem golden in
+  let (plan_mem, mem_stats), t_mp = time (fun () -> plan_scan mem) in
   let mem_identical = plan_mem = replay_mem in
   let reg = Faultspace.analyse Faultspace.Bitflip_reg program in
   let rgolden = reg.Faultspace.golden in
   let replay_reg, t_rr =
     time (fun () -> Faultspace.scan ~provider:(Injector.replay rgolden) reg)
   in
-  let plan_reg, t_rp =
-    time (fun () -> Faultspace.scan ~provider:(Injector.plan rgolden) reg)
-  in
+  let (plan_reg, reg_stats), t_rp = time (fun () -> plan_scan reg) in
   let reg_identical = plan_reg = replay_reg in
   Printf.printf "stride                    : %d cycles\n"
     Injector.default_stride;
@@ -344,6 +389,8 @@ let run_engine_checkpoint () =
     "register space replay    : %6.2f s   checkpoint: %6.2f s  (speedup \
      %.2fx, bit-identical %b)\n"
     t_rr t_rp (t_rr /. t_rp) reg_identical;
+  let mem_counted = print_exit_paths "memory  " plan_mem mem_stats in
+  let reg_counted = print_exit_paths "register" plan_reg reg_stats in
   if not (mem_identical && reg_identical) then begin
     Printf.eprintf
       "engine-checkpoint: plan outcomes are NOT bit-identical to replay \
@@ -351,6 +398,7 @@ let run_engine_checkpoint () =
       mem_identical reg_identical;
     exit 1
   end;
+  if not (mem_counted && reg_counted) then exit 1;
   if smoke then
     Printf.printf
       "smoke mode: bit-identity verified; BENCH_engine.json left untouched\n"

@@ -12,10 +12,6 @@ let classify_stopped golden machine stop =
     ~output:(Machine.serial_output machine)
     ~event_count:(Machine.event_count machine)
 
-let finish golden machine =
-  let stop = Machine.run machine ~limit:(Golden.timeout_limit golden) in
-  classify_stopped golden machine stop
-
 (* ------------------------------------------------------------------ *)
 (* Checkpoint plans                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -220,21 +216,61 @@ let spliced_outcome golden machine (snap : Machine.Snapshot.t) =
   Outcome.classify ~golden_output ~golden_event_count:golden.Golden.event_count
     ~stop:Machine.Halted ~output ~event_count
 
-(* A repeated execution state proves an infinite loop (detected by the
-   machine's armed Brent hunter): classify as the watchdog would,
-   without simulating to the cycle limit. *)
+(* A run proven never to stop before the watchdog (by {!Loopproof}),
+   or simulated up to it: classify as the watchdog would. *)
 let timeout_outcome golden machine =
   classify_stopped golden machine Machine.Cycle_limit
 
+(* ------------------------------------------------------------------ *)
+(* Sessions and their exit-path counters                              *)
+(* ------------------------------------------------------------------ *)
+
+type impl = Replay | Planned of plan
+type provider = { p_golden : Golden.t; impl : impl }
+
+type exit_path =
+  | Natural_stop
+  | Ladder_splice
+  | Shifted_splice
+  | Anchor_splice
+  | Loop_proof
+  | Watchdog
+
+let path_slot = function
+  | Natural_stop -> 0
+  | Ladder_splice -> 1
+  | Shifted_splice -> 2
+  | Anchor_splice -> 3
+  | Loop_proof -> 4
+  | Watchdog -> 5
+
+type session = {
+  provider : provider;
+  mutable pristine : Machine.t;
+  mutable at : int; (* cycles executed on the pristine machine *)
+  scratch : Loopproof.scratch; (* this session's prover buffers *)
+  exits : int array; (* per exit path slot: runs at 2i, cycles at 2i+1 *)
+  mutable failed_proofs : int;
+  mutable failed_proof_cycles : int;
+}
+
+(* Count one finished run: [cycles] simulated after the fault. *)
+let exit_run s path ~cycles outcome =
+  let i = 2 * path_slot path in
+  s.exits.(i) <- s.exits.(i) + 1;
+  s.exits.(i + 1) <- s.exits.(i + 1) + cycles;
+  outcome
+
 (* A run that outlives the whole golden ladder can never converge any
    more — it is either going to stop on its own or spin to the
-   watchdog.  Past that point, arm a cheap pc-recurrence probe: each
-   time it fires (the run revisits an instruction — it is looping),
+   watchdog.  Past that point, arm a cheap pc-recurrence probe; when it
+   first fires (the run revisits an instruction — it is looping),
    attempt a {!Loopproof} non-termination proof.  Success classifies
-   the run as the watchdog would; failure widens the probe window
-   geometrically so analysis cost stays negligible even for loops the
-   prover cannot crack. *)
-let probe_window0 = 32
+   the run as the watchdog would.  Failure spends the run's one
+   attempt: almost every provable loop is proven at its first trigger,
+   so the probe is disarmed and the rest of the run is simulated in
+   the probe-free loop. *)
+type probe = Unarmed | Armed | Spent
 
 (* Consecutive failed ladder-boundary convergence checks (with no live
    shift hypothesis) before the pc-recurrence probe is armed early: a
@@ -243,8 +279,11 @@ let probe_window0 = 32
    latter cheap to prove long before the ladder runs out. *)
 let probe_miss_arm = 6
 
-let finish_planned plan golden machine =
+let finish_planned s plan golden machine ~c0 =
   let limit = Golden.timeout_limit golden in
+  let finish path outcome =
+    exit_run s path ~cycles:(Machine.cycle machine - c0) outcome
+  in
   let nl = Array.length plan.ladder in
   (* First ladder entry strictly ahead of the machine. *)
   let start =
@@ -258,8 +297,7 @@ let finish_planned plan golden machine =
     in
     search 0 nl
   in
-  let window = ref probe_window0 in
-  let armed = ref false in
+  let probe = ref Unarmed in
   let delta = ref 0 in
   let dj = ref nl in (* next shifted ladder entry to test; [nl] = none *)
   let dfail = ref 0 in (* consecutive failed rendezvous tests *)
@@ -270,10 +308,11 @@ let finish_planned plan golden machine =
        boundaries the hypothesis needs to test at.  Hypotheses are
        short-lived (see [dfail]), so loop-bound runs still get the
        probe promptly. *)
-    if (i >= nl || !misses >= probe_miss_arm) && !dj >= nl && not !armed
+    if
+      (i >= nl || !misses >= probe_miss_arm) && !dj >= nl && !probe = Unarmed
     then begin
-      Machine.probe_pc_recurrence ~window0:!window machine;
-      armed := true
+      Machine.probe_pc_recurrence machine;
+      probe := Armed
     end;
     let target =
       let ntarget =
@@ -285,11 +324,11 @@ let finish_planned plan golden machine =
     in
     Machine.run_until machine ~cycle:target;
     match Machine.stopped machine with
-    | Some stop -> classify_stopped golden machine stop
+    | Some stop -> finish Natural_stop (classify_stopped golden machine stop)
     | None ->
         if Machine.take_serial_trap machine then begin
           (* The trap displaced any armed probe; re-arm on resume. *)
-          armed := false;
+          if !probe = Armed then probe := Unarmed;
           let n = Machine.serial_length machine in
           let hit =
             if n >= 1 && n - 1 < Array.length plan.anchor_at then
@@ -307,18 +346,24 @@ let finish_planned plan golden machine =
             else None
           in
           match hit with
-          | Some snap -> spliced_outcome golden machine snap
+          | Some snap ->
+              finish Anchor_splice (spliced_outcome golden machine snap)
           | None -> go i
         end
         else if Machine.pc_recurrence machine <> None then begin
-          let proven = Loopproof.prove_no_halt machine ~limit in
-          if proven then timeout_outcome golden machine
+          let c = Machine.cycle machine in
+          if Loopproof.prove_no_halt s.scratch machine ~limit then
+            finish Loop_proof (timeout_outcome golden machine)
           else begin
-            (* Unprovable loop (or a false alarm): space probes out and
-               resume simulating — the proof attempt's steps were real
-               execution, so the machine is simply further along. *)
-            window := !window * 8;
-            Machine.probe_pc_recurrence ~window0:!window machine;
+            (* Unprovable loop (or a false alarm): the run's one attempt
+               is spent.  Resume simulating without the probe — the
+               attempt's steps were real execution, so the machine is
+               simply further along. *)
+            s.failed_proofs <- s.failed_proofs + 1;
+            s.failed_proof_cycles <-
+              s.failed_proof_cycles + (Machine.cycle machine - c);
+            Machine.disarm_pc_recurrence machine;
+            probe := Spent;
             go i
           end
         end
@@ -335,7 +380,9 @@ let finish_planned plan golden machine =
                 ~ram_live:plan.ram_live.(j) ~reg_mask:plan.reg_mask.(j)
               && cyc + (golden.Golden.cycles - plan.ladder_cycles.(j))
                  <= limit
-            then spliced_outcome golden machine plan.ladder.(j)
+            then
+              finish Shifted_splice
+                (spliced_outcome golden machine plan.ladder.(j))
             else begin
               incr dfail;
               if !dfail >= 24 then dj := nl (* hypothesis refuted *);
@@ -346,7 +393,9 @@ let finish_planned plan golden machine =
             if
               Machine.converges_with machine plan.ladder.(i)
                 ~ram_live:plan.ram_live.(i) ~reg_mask:plan.reg_mask.(i)
-            then spliced_outcome golden machine plan.ladder.(i)
+            then
+              finish Ladder_splice
+                (spliced_outcome golden machine plan.ladder.(i))
             else begin
               (* Missed.  Maybe the run re-converged with a cycle
                  shift: a golden state-hash hit at another cycle names
@@ -375,7 +424,8 @@ let finish_planned plan golden machine =
               | Some _ | None -> incr misses);
               go (i + 1)
             end
-          else if cyc >= limit then timeout_outcome golden machine
+          else if cyc >= limit then
+            finish Watchdog (timeout_outcome golden machine)
           else go (if i < nl && cyc >= plan.ladder_cycles.(i) then i + 1 else i)
         end
   in
@@ -385,9 +435,6 @@ let finish_planned plan golden machine =
 (* Session providers                                                  *)
 (* ------------------------------------------------------------------ *)
 
-type impl = Replay | Planned of plan
-type provider = { p_golden : Golden.t; impl : impl }
-
 let provider_golden p = p.p_golden
 let replay golden = { p_golden = golden; impl = Replay }
 
@@ -395,18 +442,59 @@ let plan ?(stride = default_stride) golden =
   if stride <= 0 then replay golden
   else { p_golden = golden; impl = Planned (build_plan golden ~stride) }
 
-type session = {
-  provider : provider;
-  mutable pristine : Machine.t;
-  mutable at : int; (* cycles executed on the pristine machine *)
-}
-
 let session provider =
   {
     provider;
     pristine = Machine.create provider.p_golden.Golden.program;
     at = 0;
+    scratch = Loopproof.scratch ();
+    exits = Array.make 12 0;
+    failed_proofs = 0;
+    failed_proof_cycles = 0;
   }
+
+type path_stats = { runs : int; cycles : int }
+
+type session_stats = {
+  natural_stop : path_stats;
+  ladder_splice : path_stats;
+  shifted_splice : path_stats;
+  anchor_splice : path_stats;
+  loop_proof : path_stats;
+  watchdog : path_stats;
+  proof_attempts : int;
+  failed_proofs : int;
+  failed_proof_cycles : int;
+}
+
+let session_stats (s : session) =
+  let path p =
+    let i = 2 * path_slot p in
+    { runs = s.exits.(i); cycles = s.exits.(i + 1) }
+  in
+  let loop_proof = path Loop_proof in
+  {
+    natural_stop = path Natural_stop;
+    ladder_splice = path Ladder_splice;
+    shifted_splice = path Shifted_splice;
+    anchor_splice = path Anchor_splice;
+    loop_proof;
+    watchdog = path Watchdog;
+    (* every attempt either proves its run or fails *)
+    proof_attempts = loop_proof.runs + s.failed_proofs;
+    failed_proofs = s.failed_proofs;
+    failed_proof_cycles = s.failed_proof_cycles;
+  }
+
+let exit_paths st =
+  [
+    ("natural stop", st.natural_stop);
+    ("ladder splice", st.ladder_splice);
+    ("shifted splice", st.shifted_splice);
+    ("anchor splice", st.anchor_splice);
+    ("loop proof", st.loop_proof);
+    ("watchdog", st.watchdog);
+  ]
 
 (* Rolling [hop_min] cycles costs about as much as one checkpoint
    restore; hop only when the restore actually skips work. *)
@@ -441,12 +529,19 @@ let advance s target =
 let session_run_flip s ~cycle ~flip =
   advance s (cycle - 1);
   let machine = Machine.fork s.pristine in
+  let c0 = Machine.cycle machine in
   flip machine;
+  let golden = s.provider.p_golden in
   match s.provider.impl with
-  | Replay -> finish s.provider.p_golden machine
+  | Replay ->
+      let stop = Machine.run machine ~limit:(Golden.timeout_limit golden) in
+      exit_run s
+        (if stop = Machine.Cycle_limit then Watchdog else Natural_stop)
+        ~cycles:(Machine.cycle machine - c0)
+        (classify_stopped golden machine stop)
   | Planned plan ->
       Machine.trap_serial machine ~positions:plan.trap_bits;
-      finish_planned plan s.provider.p_golden machine
+      finish_planned s plan golden machine ~c0
 
 let session_run_at s coord =
   check_coord s.provider.p_golden coord;

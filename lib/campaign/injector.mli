@@ -19,11 +19,14 @@
     - starts each session's pristine machine from the nearest checkpoint
       at or below its first injection cycle instead of from reset, and
     - classifies a faulty run as soon as it provably re-converges with
-      the golden execution at a checkpoint (pc, cycle and every
+      the golden execution — at a checkpoint (pc, cycle and every
       still-live RAM byte and register agree — liveness comes from the
-      golden def/use trace), or provably diverges forever (its execution
-      state repeats, which on a deterministic machine is an infinite
-      loop), instead of simulating the remaining cycles.
+      golden def/use trace), at a cycle-shifted checkpoint, or at a
+      serial-output anchor — or is proven never to stop before the
+      watchdog, instead of simulating the remaining cycles.  The
+      non-termination proof ({!Loopproof}) is attempted at most once
+      per faulty run, when a pc-recurrence probe first finds the run
+      looping; if it fails, the run is simulated to its end.
 
     Both shortcuts are exact on the deterministic machine — outcomes are
     bit-identical to {!replay} (property-tested differentially) — so the
@@ -52,7 +55,10 @@ val provider_golden : provider -> Golden.t
 type session
 (** An injection session over monotonically non-decreasing injection
     cycles: one pristine machine rolled forward (or hopped forward along
-    the provider's checkpoint ladder) between experiments. *)
+    the provider's checkpoint ladder) between experiments.  A session
+    also owns its loop prover's {!Loopproof.scratch} and its exit-path
+    counters, so it is plain mutable state: conduct on it from one
+    domain at a time (the engine opens one per shard). *)
 
 val session : provider -> session
 (** Fresh session positioned at reset. *)
@@ -73,6 +79,44 @@ val session_run_flip :
     requirement as {!session_run_at}.
 
     @raise Invalid_argument on a decreasing injection cycle. *)
+
+(** {2 Exit-path counters}
+
+    Every experiment a session conducts ends on exactly one exit path;
+    the session counts runs and simulated cycles (from the fault to
+    the exit, proof steps included) per path.  The counters are
+    deterministic: they depend only on the provider and the
+    experiments conducted, never on timing. *)
+
+type path_stats = { runs : int; cycles : int }
+
+type session_stats = {
+  natural_stop : path_stats;
+      (** The run halted, trapped or panicked on its own.  Under
+          {!replay}, every run that beats the watchdog. *)
+  ladder_splice : path_stats;
+      (** Converged with a golden checkpoint at its own cycle. *)
+  shifted_splice : path_stats;
+      (** Converged with a golden checkpoint at a shifted cycle. *)
+  anchor_splice : path_stats;
+      (** Converged at a serial-output rendezvous anchor. *)
+  loop_proof : path_stats;
+      (** Proven never to stop before the watchdog (a [Timeout]). *)
+  watchdog : path_stats;
+      (** Simulated up to the watchdog limit (a [Timeout]). *)
+  proof_attempts : int;  (** Non-termination proofs attempted. *)
+  failed_proofs : int;  (** … of which failed. *)
+  failed_proof_cycles : int;
+      (** Cycles stepped inside the failed proofs. *)
+}
+
+val session_stats : session -> session_stats
+(** The session's counters so far.  The [runs] of all six paths sum to
+    the experiments conducted; [loop_proof] plus [watchdog] runs are
+    exactly the [Timeout] outcomes. *)
+
+val exit_paths : session_stats -> (string * path_stats) list
+(** The six paths in declaration order, named for tables. *)
 
 val run_at : Golden.t -> Coordspace.coord -> Outcome.t
 (** One-shot experiment at an arbitrary coordinate: a plan-of-one,

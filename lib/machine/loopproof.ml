@@ -365,7 +365,46 @@ type cell = {
 
 let imm32 v = Int32.to_int v land 0xFFFFFFFF
 
-let attempt m ~limit ~fuel ~scan_cap =
+(* Buffers reused across attempts, so a failed proof allocates nothing
+   on the major heap.  Invariant between attempts: every [occ*] entry
+   is -1 (an attempt resets exactly the pcs its scan touched). *)
+type scratch = {
+  mutable buf : int array; (* scan window: pc before each step *)
+  mutable occ1 : int array; (* per pc: latest visit index in the scan *)
+  mutable occ2 : int array; (* … the one before *)
+  mutable occ3 : int array; (* … and the one before that *)
+  mutable pcs : int array; (* the recorded period's pc sequence *)
+  mutable addrs : int array; (* … and its memory access addresses *)
+  cells : (int, cell) Hashtbl.t;
+  owner : (int, int) Hashtbl.t; (* RAM byte -> key of its first cell *)
+}
+
+let scratch () =
+  {
+    buf = [||];
+    occ1 = [||];
+    occ2 = [||];
+    occ3 = [||];
+    pcs = [||];
+    addrs = [||];
+    cells = Hashtbl.create 64;
+    owner = Hashtbl.create 64;
+  }
+
+(* Grow [sc] once to fit a program of [code_len] instructions. *)
+let fit sc ~code_len =
+  if Array.length sc.buf < max_period then begin
+    sc.buf <- Array.make max_period 0;
+    sc.pcs <- Array.make max_period 0;
+    sc.addrs <- Array.make max_period (-1)
+  end;
+  if Array.length sc.occ1 < code_len then begin
+    sc.occ1 <- Array.make code_len (-1);
+    sc.occ2 <- Array.make code_len (-1);
+    sc.occ3 <- Array.make code_len (-1)
+  end
+
+let attempt sc m ~limit ~fuel ~scan_cap =
   let prog = Machine.program m in
   let code = prog.Program.code in
   let ram_size = prog.Program.ram_size in
@@ -396,13 +435,11 @@ let attempt m ~limit ~fuel ~scan_cap =
   let code_len = Array.length code in
   let scan = min (min scan_cap max_period) !fuel in
   if scan < 8 then abort ();
-  let buf = Array.make scan 0 in
-  let taken = Machine.scan_pcs m buf in
+  let buf = sc.buf in
+  let taken = Machine.scan_pcs m buf ~len:scan in
   fuel := !fuel - taken;
   if taken < scan then abort ();
-  let occ1 = Array.make code_len (-1) (* latest visit index *)
-  and occ2 = Array.make code_len (-1)
-  and occ3 = Array.make code_len (-1) in
+  let occ1 = sc.occ1 and occ2 = sc.occ2 and occ3 = sc.occ3 in
   for i = 0 to scan - 1 do
     let pc = buf.(i) in
     if pc >= 0 && pc < code_len then begin
@@ -411,19 +448,27 @@ let attempt m ~limit ~fuel ~scan_cap =
       occ1.(pc) <- i
     end
   done;
+  (* Rank the scanned pcs, ties going to the lowest pc, and reset each
+     one's entries once ranked, restoring the scratch invariant. *)
   let anchor = ref (-1) and best = ref 0 and best_stable = ref false in
-  for pc = 0 to code_len - 1 do
-    if occ2.(pc) >= 0 then begin
-      let g = occ1.(pc) - occ2.(pc) in
-      let st = occ3.(pc) >= 0 && occ2.(pc) - occ3.(pc) = g in
-      if
-        (st && not !best_stable)
-        || (st = !best_stable && g > !best)
-      then begin
-        anchor := pc;
-        best := g;
-        best_stable := st
-      end
+  for i = 0 to scan - 1 do
+    let pc = buf.(i) in
+    if pc >= 0 && pc < code_len && occ1.(pc) >= 0 then begin
+      if occ2.(pc) >= 0 then begin
+        let g = occ1.(pc) - occ2.(pc) in
+        let st = occ3.(pc) >= 0 && occ2.(pc) - occ3.(pc) = g in
+        if
+          (st && not !best_stable)
+          || (st = !best_stable && (g > !best || (g = !best && pc < !anchor)))
+        then begin
+          anchor := pc;
+          best := g;
+          best_stable := st
+        end
+      end;
+      occ1.(pc) <- -1;
+      occ2.(pc) <- -1;
+      occ3.(pc) <- -1
     end
   done;
   if !anchor < 0 then abort ();
@@ -440,10 +485,10 @@ let attempt m ~limit ~fuel ~scan_cap =
   in
   align 0;
   (* 2. Record one period concretely. *)
-  let pcs = Array.make period 0 in
-  let addrs = Array.make period (-1) in
-  let cells : (int, cell) Hashtbl.t = Hashtbl.create 64 in
-  let owner : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let pcs = sc.pcs and addrs = sc.addrs in
+  let cells = sc.cells and owner = sc.owner in
+  Hashtbl.reset cells;
+  Hashtbl.reset owner;
   let touch addr width ~is_load =
     let key = (addr lsl 1) lor (if width = 4 then 1 else 0) in
     (if not (Hashtbl.mem cells key) then begin
@@ -678,11 +723,14 @@ let attempt m ~limit ~fuel ~scan_cap =
     fixpoint ()
   end
 
-let prove_no_halt m ~limit =
+let prove_no_halt sc m ~limit =
   match Machine.stopped m with
   | Some _ -> false
   | None ->
-      let fuel = ref (min 8192 (max 64 (limit - Machine.cycle m))) in
+      fit sc ~code_len:(Array.length (Machine.program m).Program.code);
+      (* Never step past [limit]: a run still going at [limit] is a
+         watchdog run, even if it would stop a few cycles later. *)
+      let fuel = ref (min 8192 (limit - Machine.cycle m)) in
       (* Most loops are short: a cheap first attempt with a small scan
          window proves them at a fraction of the full window's cost,
          and a failure only spends those few hundred (real, resumable)
@@ -690,7 +738,7 @@ let prove_no_halt m ~limit =
       let rec attempts = function
         | [] -> false
         | scan_cap :: rest -> (
-            match attempt m ~limit ~fuel ~scan_cap with
+            match attempt sc m ~limit ~fuel ~scan_cap with
             | () -> true
             | exception Abort ->
                 Machine.stopped m = None && !fuel > 0 && attempts rest)

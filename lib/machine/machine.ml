@@ -587,25 +587,26 @@ let create ?tracer ?exec_tracer prog =
 
 let hunt_window0 = 32
 
-let probe_pc_recurrence ?(window0 = hunt_window0) m =
-  let window0 = max 1 window0 in
+let probe_pc_recurrence m =
   m.hunt <-
     Some
       {
         h_serial = false;
         h_pc = m.pc;
-        h_window = window0;
-        h_left = window0;
+        h_window = hunt_window0;
+        h_left = hunt_window0;
         h_dist = 0;
         h_stop = false;
       }
+
+let disarm_pc_recurrence m = m.hunt <- None
 
 (* Bulk stepping for loop analysis: the per-step [try]/bounds overhead
    of [step] is hoisted out, like the run loops do, with the observed
    pc sequence landing in [buf].  Loop detectors are deliberately not
    consulted — the caller is already past detection. *)
-let scan_pcs m buf =
-  let n = Array.length buf in
+let scan_pcs m buf ~len =
+  let n = min len (Array.length buf) in
   let i = ref 0 in
   (match (m.stop, m.exec_tracer) with
   | Some _, _ -> ()

@@ -125,11 +125,11 @@ val skip_next : t -> unit
     handles for register faults.  No-op if the machine has stopped; an
     out-of-range pc stops with [Bad_pc], as {!step} would. *)
 
-val scan_pcs : t -> int array -> int
-(** [scan_pcs m buf] executes up to [Array.length buf] instructions,
-    recording in [buf.(i)] the pc {e before} the [i]-th one, and
-    returns the number of steps taken (short only if the machine
-    stopped).  Equivalent to calling {!step} in a loop but at the run
+val scan_pcs : t -> int array -> len:int -> int
+(** [scan_pcs m buf ~len] executes up to [min len (Array.length buf)]
+    instructions, recording in [buf.(i)] the pc {e before} the [i]-th
+    one, and returns the number of steps taken (short only if the
+    machine stopped).  Equivalent to calling {!step} in a loop but at the run
     loops' per-cycle cost.  Armed loop detectors are not consulted —
     the caller ({!Loopproof}) is already past detection. *)
 
@@ -240,18 +240,23 @@ val take_serial_trap : t -> bool
     a firing trap displaces an armed probe, which then needs
     re-arming. *)
 
-val probe_pc_recurrence : ?window0:int -> t -> unit
+val probe_pc_recurrence : t -> unit
 (** Arm the pc-recurrence probe: a Brent tortoise — one [pc],
-    recaptured with exponentially growing windows, compared against the
-    current [pc] once per cycle — where a bare [pc] revisit suspends the
-    run ({!stopped} stays [None]).  A pc recurrence proves nothing
-    by itself — it is a cheap trigger for deeper loop analysis
-    ({!Loopproof}): the suspension hands the caller a machine parked at
-    a loop head together with a period candidate.  [window0] sets the
-    initial Brent window (default 32); re-arming with a larger window
-    spaces successive triggers out geometrically.  Replaces any
-    previously armed detector; forked and restored machines never
-    inherit one. *)
+    recaptured with exponentially growing windows (the first is 32
+    cycles), compared against the current [pc] once per cycle — where
+    a bare [pc] revisit suspends the run ({!stopped} stays [None]).  A
+    pc recurrence proves nothing by itself — it is a cheap trigger for
+    deeper loop analysis ({!Loopproof}): the suspension hands the
+    caller a machine parked at a loop head together with a period
+    candidate.  Replaces any previously armed detector; forked and
+    restored machines never inherit one. *)
+
+val disarm_pc_recurrence : t -> unit
+(** Drop the armed probe, together with any pending suspension (a
+    fired probe or serial trap), so the run loops go back to their
+    probe-free fast path.  The serial trap bitmap itself stays armed.
+    A caller whose loop proof failed disarms the probe for the rest of
+    the run rather than paying for further triggers. *)
 
 val pc_recurrence : t -> int option
 (** [Some d] iff an armed {!probe_pc_recurrence} detector suspended the

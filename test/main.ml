@@ -17,6 +17,7 @@ let () =
       Test_stats.suite;
       Test_isa.suite;
       Test_machine.suite;
+      Test_loopproof.suite;
       Test_trace.suite;
       Test_campaign.suite;
       Test_checkpoint.suite;

@@ -142,6 +142,108 @@ let test_stride_identity_registers () =
     (strides rgolden)
 
 (* ------------------------------------------------------------------ *)
+(* Exit-path counters and the timeout paths on the real suite         *)
+(* ------------------------------------------------------------------ *)
+
+(* [Scan.serial] over [classes] on [provider]: the outcomes in class
+   order, and the counters of the session it conducted on. *)
+let scan_with_stats provider classes =
+  let golden = Injector.provider_golden provider in
+  let session = ref (Injector.session provider) in
+  let conduct s c ~bit_in_byte =
+    session := s;
+    Scan.conduct_class s c ~bit_in_byte
+  in
+  let scan =
+    Scan.serial ~provider ~golden
+      ~ram_bytes:golden.Golden.program.Program.ram_size ~benign_weight:0
+      ~conduct classes
+  in
+  ( Array.map (fun e -> e.Scan.outcome) scan.Scan.experiments,
+    Injector.session_stats !session )
+
+let count o outcomes =
+  Array.fold_left (fun n o' -> if o' = o then n + 1 else n) 0 outcomes
+
+(* Every run ends on exactly one path, and the Timeouts are exactly the
+   proven and the watchdog-bound runs. *)
+let check_accounting msg outcomes (st : Injector.session_stats) =
+  let runs =
+    List.fold_left
+      (fun n (_, (p : Injector.path_stats)) -> n + p.runs)
+      0 (Injector.exit_paths st)
+  in
+  Alcotest.(check int)
+    (msg ^ ": runs = experiments")
+    (Array.length outcomes) runs;
+  Alcotest.(check int)
+    (msg ^ ": timeouts = loop proof + watchdog")
+    (count Outcome.Timeout outcomes)
+    (st.loop_proof.runs + st.watchdog.runs);
+  Alcotest.(check bool)
+    (msg ^ ": failed-proof cycles within the runs' cycles")
+    true
+    (st.failed_proof_cycles >= 0
+    && st.failed_proof_cycles
+       <= List.fold_left
+            (fun n (_, (p : Injector.path_stats)) -> n + p.cycles)
+            0 (Injector.exit_paths st))
+
+let test_exit_path_counters () =
+  let golden = Lazy.force looper_golden in
+  let classes = Defuse.experiment_classes golden.Golden.defuse in
+  let reference, rst = scan_with_stats (Injector.replay golden) classes in
+  check_accounting "replay" reference rst;
+  Alcotest.(check int) "replay attempts no proof" 0 rst.proof_attempts;
+  Alcotest.(check int)
+    "replay ends runs on its own or at the watchdog"
+    (Array.length reference)
+    (rst.natural_stop.runs + rst.watchdog.runs);
+  List.iter
+    (fun stride ->
+      let msg = Printf.sprintf "stride %d" stride in
+      let outcomes, st =
+        scan_with_stats (Injector.plan ~stride golden) classes
+      in
+      Alcotest.(check bool)
+        (msg ^ ": outcomes = replay")
+        true (outcomes = reference);
+      check_accounting msg outcomes st;
+      Alcotest.(check bool)
+        (msg ^ ": at most one proof attempt per run")
+        true
+        (st.proof_attempts <= Array.length outcomes);
+      (* the counters are deterministic *)
+      Alcotest.(check bool)
+        (msg ^ ": counters reproducible")
+        true
+        (snd (scan_with_stats (Injector.plan ~stride golden) classes) = st))
+    [ 1; Injector.default_stride; golden.Golden.cycles + 50 ]
+
+(* The differential on a real hardened kernel's timeout paths: every
+   k-th class of sync2/sum+dmr in t_end order, about 400 classes. *)
+let test_sync2_timeout_paths () =
+  let golden = Golden.run (Sync2.sum_dmr ()) in
+  let classes = Array.copy (Defuse.experiment_classes golden.Golden.defuse) in
+  Array.stable_sort
+    (fun a b -> compare a.Defuse.t_end b.Defuse.t_end)
+    classes;
+  let k = max 1 (Array.length classes / 400) in
+  let sample =
+    Array.init (Array.length classes / k) (fun i -> classes.(i * k))
+  in
+  let reference, _ = scan_with_stats (Injector.replay golden) sample in
+  let outcomes, st = scan_with_stats (Injector.plan golden) sample in
+  Alcotest.(check bool) "plan = replay" true (outcomes = reference);
+  check_accounting "sync2/sum+dmr" outcomes st;
+  Alcotest.(check bool)
+    "sample holds at least 50 timeouts" true
+    (count Outcome.Timeout reference >= 50);
+  Alcotest.(check bool) "loop proofs exercised" true (st.loop_proof.runs > 0);
+  Alcotest.(check bool) "watchdog exercised" true (st.watchdog.runs > 0);
+  Alcotest.(check bool) "failed proofs exercised" true (st.failed_proofs > 0)
+
+(* ------------------------------------------------------------------ *)
 (* run_at / session equivalence on ladder sessions                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -310,5 +412,9 @@ let suite =
         test_fingerprint_ignores_stride;
       Alcotest.test_case "journal resume across stride change" `Quick
         test_resume_stride_churn;
+      Alcotest.test_case "exit-path counters account for every run" `Quick
+        test_exit_path_counters;
+      Alcotest.test_case "sync2/sum+dmr timeout paths: plan = replay" `Quick
+        test_sync2_timeout_paths;
       QCheck_alcotest.to_alcotest qcheck_plan_equals_replay;
     ] )

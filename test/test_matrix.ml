@@ -139,7 +139,7 @@ let test_register_engine_equals_scan () =
 (* Register engine == serial Faultspace.scan on random compiled MIR
    programs with random shard geometry and worker counts. *)
 let qcheck_register_engine_equals_scan =
-  QCheck.Test.make ~name:"register engine equals Regspace.scan on random programs"
+  QCheck.Test.make ~name:"register engine equals Faultspace.scan on random programs"
     ~count:4
     QCheck.(triple (int_bound 1000) (int_range 1 4) (int_range 1 9))
     (fun (seed, jobs, shard_size) ->
@@ -451,7 +451,7 @@ let suite =
         test_weighted_engine_equals_serial;
       Alcotest.test_case "fingerprints distinguish space and sizing" `Quick
         test_fingerprints_distinguish;
-      Alcotest.test_case "register engine = Regspace.scan (hi, j 1/2/4)"
+      Alcotest.test_case "register engine = Faultspace.scan (hi, j 1/2/4)"
         `Quick test_register_engine_equals_scan;
       QCheck_alcotest.to_alcotest qcheck_register_engine_equals_scan;
       Alcotest.test_case "register journal torn-tail resume" `Quick
