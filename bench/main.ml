@@ -25,6 +25,12 @@ let section title =
   Printf.printf "\n%s\n%s\n" (String.make 72 '=') title;
   Printf.printf "%s\n" (String.make 72 '=')
 
+(* [f ()] and its wall-clock seconds. *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
 (* ------------------------------------------------------------------ *)
 (* Campaign-backed data (cached)                                      *)
 (* ------------------------------------------------------------------ *)
@@ -217,30 +223,10 @@ let run_registers () =
          ("mutex1", Regspace.analyze (Mutex1.baseline ()));
        ])
 
-let run_engine () =
-  section "ENG | Campaign-engine ablation: checkpoint plan vs. replay provider";
-  let golden = Golden.run (Mbox1.baseline ()) in
-  let time label provider =
-    let t0 = Sys.time () in
-    let scan = Scan.pruned ~provider golden in
-    Printf.printf "%-12s %6.2f s  (F = %d)\n" label (Sys.time () -. t0)
-      (Metrics.failure_count scan);
-    scan
-  in
-  let a = time "checkpoint" (Injector.plan golden) in
-  let b = time "replay" (Injector.replay golden) in
-  Printf.printf "identical results: %b\n" (a = b)
-
 let run_engine_parallel () =
   section
-    "ENGP | Parallel campaign engine: bin_sem2 serial vs backend × -j \
-     (emits BENCH_engine.json)";
+    "ENGP | Parallel campaign engine: bin_sem2 serial vs backend × -j";
   let golden = Golden.run (Bin_sem2.baseline ()) in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let serial, t_serial = time (fun () -> Scan.pruned golden) in
   let runs =
     List.concat_map
@@ -271,36 +257,7 @@ let run_engine_parallel () =
   if cores = 1 then
     Printf.printf
       "note: single-core host — parallel speedup is not observable here;\n\
-      \      the engine still shards, journals and merges identically.\n";
-  let json =
-    let run_fields =
-      List.map
-        (fun (backend, jobs, t, identical) ->
-          Printf.sprintf
-            "    {\"backend\": \"%s\", \"jobs\": %d, \"seconds\": %.3f, \
-             \"speedup\": %.3f, \"bit_identical\": %b}"
-            (Pool.backend_tag backend) jobs t (t_serial /. t) identical)
-        runs
-    in
-    Printf.sprintf
-      "{\n\
-      \  \"benchmark\": \"bin_sem2/baseline\",\n\
-      \  \"host_cores\": %d,\n\
-      \  \"classes\": %d,\n\
-      \  \"experiments\": %d,\n\
-      \  \"serial_seconds\": %.3f,\n\
-      \  \"engine\": [\n%s\n  ]\n\
-       }\n"
-      cores
-      (Array.length serial.Scan.experiments / 8)
-      (Array.length serial.Scan.experiments)
-      t_serial
-      (String.concat ",\n" run_fields)
-  in
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_engine.json\n"
+      \      the engine still shards, journals and merges identically.\n"
 
 (* [Faultspace.scan] of [cell] on a checkpoint plan, with the exit-path
    counters of the session it conducted on. *)
@@ -353,15 +310,9 @@ let print_exit_paths label (scan : Scan.t) (st : Injector.session_stats) =
 let run_engine_checkpoint () =
   section
     "ENGK | Checkpoint-plan hot path: snapshot sessions vs replay-from-reset \
-     on both fault spaces (splices \"checkpoint\" into BENCH_engine.json)";
+     on both fault spaces";
   let smoke = Sys.getenv_opt "FI_BENCH_SMOKE" <> None in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* Smoke mode (CI): same differential check, smaller kernel, and the
-     curated BENCH_engine.json numbers are left untouched. *)
+  (* Smoke mode (CI): same differential check on a smaller kernel. *)
   let program =
     if smoke then Mbox1.baseline () else Bin_sem2.baseline ()
   in
@@ -398,101 +349,15 @@ let run_engine_checkpoint () =
       mem_identical reg_identical;
     exit 1
   end;
-  if not (mem_counted && reg_counted) then exit 1;
-  if smoke then
-    Printf.printf
-      "smoke mode: bit-identity verified; BENCH_engine.json left untouched\n"
-  else begin
-    (* Splice next to the engine sections, replacing any previous
-       checkpoint section (idempotent re-runs); write a minimal skeleton
-       if engine-parallel has not run yet.  The seed's recorded serial
-       wall clock (the file's top-level "serial_seconds") is the
-       cross-build reference the plan is measured against. *)
-    let path = "BENCH_engine.json" in
-    let base =
-      if Sys.file_exists path then begin
-        let ic = open_in_bin path in
-        let text = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        text
-      end
-      else "{\n  \"benchmark\": \"bin_sem2/baseline\"\n}\n"
-    in
-    let find_sub hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec scan i =
-        if i + nn > nh then None
-        else if String.sub hay i nn = needle then Some i
-        else scan (i + 1)
-      in
-      scan 0
-    in
-    let seed_serial =
-      match find_sub base "\"serial_seconds\": " with
-      | None -> 0.
-      | Some i -> (
-          let start = i + String.length "\"serial_seconds\": " in
-          let stop = ref start in
-          while
-            !stop < String.length base
-            && (match base.[!stop] with
-               | '0' .. '9' | '.' | '-' -> true
-               | _ -> false)
-          do
-            incr stop
-          done;
-          try float_of_string (String.sub base start (!stop - start))
-          with Failure _ -> 0.)
-    in
-    let ck_json =
-      Printf.sprintf
-        "{\n\
-        \    \"stride\": %d,\n\
-        \    \"memory\": {\"replay_seconds\": %.3f, \"plan_seconds\": %.3f, \
-         \"speedup\": %.2f, \"bit_identical\": %b},\n\
-        \    \"registers\": {\"replay_seconds\": %.3f, \"plan_seconds\": \
-         %.3f, \"speedup\": %.2f, \"bit_identical\": %b},\n\
-        \    \"seed_serial_seconds\": %.3f,\n\
-        \    \"speedup_vs_seed\": %.2f\n\
-        \  }"
-        Injector.default_stride t_mr t_mp (t_mr /. t_mp) mem_identical t_rr
-        t_rp (t_rr /. t_rp) reg_identical seed_serial
-        (if t_mp > 0. && seed_serial > 0. then seed_serial /. t_mp else 0.)
-    in
-    let trim_tail s =
-      let n = ref (String.length s) in
-      while !n > 0 && (s.[!n - 1] = '\n' || s.[!n - 1] = ' ') do
-        decr n
-      done;
-      String.sub s 0 !n
-    in
-    let body =
-      match find_sub base ",\n  \"checkpoint\":" with
-      | Some i -> String.sub base 0 i
-      | None ->
-          let t = trim_tail base in
-          let n = String.length t in
-          if n > 0 && t.[n - 1] = '}' then trim_tail (String.sub t 0 (n - 1))
-          else t
-    in
-    let oc = open_out path in
-    output_string oc (body ^ ",\n  \"checkpoint\": " ^ ck_json ^ "\n}\n");
-    close_out oc;
-    Printf.printf "spliced checkpoint into BENCH_engine.json\n"
-  end
+  if not (mem_counted && reg_counted) then exit 1
 
 let run_engine_fuzz () =
   section
     "ENGF | Susceptibility fuzzer throughput: programs/s and campaigns/s, \
-     domains vs processes (splices \"fuzz\" into BENCH_engine.json)";
+     domains vs processes";
   let smoke = Sys.getenv_opt "FI_BENCH_SMOKE" <> None in
   let budget = if smoke then 4 else 24 in
   let variants = [ Delta.Sum_dmr; Delta.Dft 16 ] in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* Generation throughput: seeded program construction through the
      Mir.Check validity gate and a golden run, no campaigns. *)
   let (), t_gen =
@@ -532,88 +397,15 @@ let run_engine_fuzz () =
     Printf.eprintf
       "engine-fuzz: domains and processes hunts disagree on findings\n";
     exit 1
-  end;
-  if smoke then
-    Printf.printf
-      "smoke mode: backend agreement verified; BENCH_engine.json left \
-       untouched\n"
-  else begin
-    (* Same idempotent splice discipline as the checkpoint section. *)
-    let path = "BENCH_engine.json" in
-    let base =
-      if Sys.file_exists path then begin
-        let ic = open_in_bin path in
-        let text = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        text
-      end
-      else "{\n  \"benchmark\": \"bin_sem2/baseline\"\n}\n"
-    in
-    let find_sub hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec scan i =
-        if i + nn > nh then None
-        else if String.sub hay i nn = needle then Some i
-        else scan (i + 1)
-      in
-      scan 0
-    in
-    let fz_json =
-      Printf.sprintf
-        "{\n\
-        \    \"budget\": %d,\n\
-        \    \"programs_per_sec\": %.1f,\n\
-        \    \"campaigns\": %d,\n\
-        \    \"domains\": {\"seconds\": %.3f, \"campaigns_per_sec\": %.1f, \
-         \"findings\": %d},\n\
-        \    \"processes\": {\"seconds\": %.3f, \"campaigns_per_sec\": %.1f, \
-         \"findings\": %d},\n\
-        \    \"identical_findings\": %b\n\
-        \  }"
-        budget
-        (float_of_int budget /. t_gen)
-        campaigns t_dom
-        (float_of_int campaigns /. t_dom)
-        (List.length h_dom.Delta.findings)
-        t_proc
-        (float_of_int campaigns /. t_proc)
-        (List.length h_proc.Delta.findings)
-        identical
-    in
-    let trim_tail s =
-      let n = ref (String.length s) in
-      while !n > 0 && (s.[!n - 1] = '\n' || s.[!n - 1] = ' ') do
-        decr n
-      done;
-      String.sub s 0 !n
-    in
-    let body =
-      match find_sub base ",\n  \"fuzz\":" with
-      | Some i -> String.sub base 0 i
-      | None ->
-          let t = trim_tail base in
-          let n = String.length t in
-          if n > 0 && t.[n - 1] = '}' then trim_tail (String.sub t 0 (n - 1))
-          else t
-    in
-    let oc = open_out path in
-    output_string oc (body ^ ",\n  \"fuzz\": " ^ fz_json ^ "\n}\n");
-    close_out oc;
-    Printf.printf "spliced fuzz into BENCH_engine.json\n"
   end
 
 let run_engine_supervision () =
   section
     "ENGS | Supervision overhead and healing cost: undisturbed vs crashing \
-     vs hanging workers (splices \"supervision\" into BENCH_engine.json)";
+     vs hanging workers";
   let golden = Golden.run (Bin_sem2.baseline ()) in
   let serial = Scan.pruned golden in
   let jobs = 2 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let supervised ?shard_timeout () =
     Spec.make_policy ?shard_timeout ~max_retries:2 ~quarantine:true ()
   in
@@ -660,78 +452,13 @@ let run_engine_supervision () =
   Printf.printf "crashing worker     : %6.2f s  (healed %b, retries %d)\n"
     t_crash ok_crash r_crash;
   Printf.printf "hung worker         : %6.2f s  (healed %b, kills %d)\n"
-    t_hang ok_hang k_hang;
-  let sup_json =
-    Printf.sprintf
-      "{\n\
-      \    \"jobs\": %d,\n\
-      \    \"unsupervised_seconds\": %.3f,\n\
-      \    \"supervised_seconds\": %.3f,\n\
-      \    \"overhead_percent\": %.2f,\n\
-      \    \"healthy_bit_identical\": %b,\n\
-      \    \"crash_heal_seconds\": %.3f,\n\
-      \    \"crash_healed\": %b,\n\
-      \    \"crash_retries\": %d,\n\
-      \    \"hang_heal_seconds\": %.3f,\n\
-      \    \"hang_healed\": %b,\n\
-      \    \"hang_kills\": %d\n\
-      \  }"
-      jobs t_plain t_sup overhead_pct (ok_plain && ok_sup) t_crash ok_crash
-      r_crash t_hang ok_hang k_hang
-  in
-  (* Splice into BENCH_engine.json next to the engine-parallel runs,
-     replacing any previous supervision section (idempotent re-runs);
-     write a minimal skeleton if engine-parallel has not run yet. *)
-  let path = "BENCH_engine.json" in
-  let base =
-    if Sys.file_exists path then begin
-      let ic = open_in_bin path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      text
-    end
-    else "{\n  \"benchmark\": \"bin_sem2/baseline\"\n}\n"
-  in
-  let find_sub hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec scan i =
-      if i + nn > nh then None
-      else if String.sub hay i nn = needle then Some i
-      else scan (i + 1)
-    in
-    scan 0
-  in
-  let trim_tail s =
-    let n = ref (String.length s) in
-    while !n > 0 && (s.[!n - 1] = '\n' || s.[!n - 1] = ' ') do
-      decr n
-    done;
-    String.sub s 0 !n
-  in
-  let body =
-    match find_sub base ",\n  \"supervision\":" with
-    | Some i -> String.sub base 0 i
-    | None ->
-        let t = trim_tail base in
-        let n = String.length t in
-        if n > 0 && t.[n - 1] = '}' then trim_tail (String.sub t 0 (n - 1))
-        else t
-  in
-  let oc = open_out path in
-  output_string oc (body ^ ",\n  \"supervision\": " ^ sup_json ^ "\n}\n");
-  close_out oc;
-  Printf.printf "spliced supervision into BENCH_engine.json\n"
+    t_hang ok_hang k_hang
 
 let run_engine_net () =
   section
     "ENGN | Distributed engine: bin_sem2 over a loopback worker daemon vs \
-     the Processes backend (splices \"net\" into BENCH_engine.json)";
+     the Processes backend";
   let golden = Golden.run (Bin_sem2.baseline ()) in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let serial, t_serial = time (fun () -> Scan.pruned golden) in
   let jobs = 2 in
   let procs, t_procs =
@@ -760,70 +487,12 @@ let run_engine_net () =
           Printf.printf
             "sockets loopback -j %d   : %6.2f s  (overhead vs processes \
              %+.1f%%, bit-identical %b)\n"
-            jobs t_net overhead_pct identical;
-          let net_json =
-            Printf.sprintf
-              "{\n\
-              \    \"transport\": \"tcp-loopback\",\n\
-              \    \"jobs\": %d,\n\
-              \    \"serial_seconds\": %.3f,\n\
-              \    \"processes_seconds\": %.3f,\n\
-              \    \"sockets_seconds\": %.3f,\n\
-              \    \"overhead_vs_processes_pct\": %.1f,\n\
-              \    \"bit_identical\": %b\n\
-              \  }"
-              jobs t_serial t_procs t_net overhead_pct identical
-          in
-          (* Splice next to the engine-parallel/supervision sections,
-             replacing any previous net section (idempotent re-runs);
-             write a minimal skeleton if engine-parallel has not run
-             yet. *)
-          let path = "BENCH_engine.json" in
-          let base =
-            if Sys.file_exists path then begin
-              let ic = open_in_bin path in
-              let text = really_input_string ic (in_channel_length ic) in
-              close_in ic;
-              text
-            end
-            else "{\n  \"benchmark\": \"bin_sem2/baseline\"\n}\n"
-          in
-          let find_sub hay needle =
-            let nh = String.length hay and nn = String.length needle in
-            let rec scan i =
-              if i + nn > nh then None
-              else if String.sub hay i nn = needle then Some i
-              else scan (i + 1)
-            in
-            scan 0
-          in
-          let trim_tail s =
-            let n = ref (String.length s) in
-            while !n > 0 && (s.[!n - 1] = '\n' || s.[!n - 1] = ' ') do
-              decr n
-            done;
-            String.sub s 0 !n
-          in
-          let body =
-            match find_sub base ",\n  \"net\":" with
-            | Some i -> String.sub base 0 i
-            | None ->
-                let t = trim_tail base in
-                let n = String.length t in
-                if n > 0 && t.[n - 1] = '}' then
-                  trim_tail (String.sub t 0 (n - 1))
-                else t
-          in
-          let oc = open_out path in
-          output_string oc (body ^ ",\n  \"net\": " ^ net_json ^ "\n}\n");
-          close_out oc;
-          Printf.printf "spliced net into BENCH_engine.json\n")
+            jobs t_net overhead_pct identical)
 
 let run_engine_cache () =
   section
     "ENGC | Result cache: bin_sem2 cold campaign vs warm replay from the \
-     content-addressed store, plus service cache-hit dispatch latency \
-     (splices \"cache\" into BENCH_engine.json)";
+     content-addressed store, plus service cache-hit dispatch latency";
   let dir = Filename.temp_file "fibench" ".store" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
@@ -836,11 +505,6 @@ let run_engine_cache () =
        with Sys_error _ -> ());
       try Sys.rmdir dir with Sys_error _ -> ())
     (fun () ->
-      let time f =
-        let t0 = Unix.gettimeofday () in
-        let r = f () in
-        (r, Unix.gettimeofday () -. t0)
-      in
       let golden = Golden.run (Bin_sem2.baseline ()) in
       let policy = Spec.make_policy ~catalogue:dir ~cache:dir () in
       let jobs = 2 in
@@ -863,104 +527,37 @@ let run_engine_cache () =
       let config =
         { Service.default_config with Service.artifacts = dir; jobs }
       in
-      let t_dispatch =
-        match Service.spawn_daemon ~config () with
-        | Error e ->
-            Printf.printf "service latency skipped: no daemon (%s)\n" e;
-            nan
-        | Ok (pid, addr) ->
-            Fun.protect
-              ~finally:(fun () -> Service.kill_daemon pid)
-              (fun () ->
-                let cell =
-                  Service.cell_of_spec (Spec.of_golden ~policy golden)
-                in
-                let hit () =
-                  match Service.submit ~addr [ cell ] with
-                  | Ok [ r ] when r.Service.r_cached -> ()
-                  | Ok _ -> failwith "service returned a non-hit"
-                  | Error msg -> failwith msg
-                in
-                hit () (* connect-path warmup *);
-                let rounds = 10 in
-                let (), t =
-                  time (fun () ->
-                      for _ = 1 to rounds do
-                        hit ()
-                      done)
-                in
-                let per = t /. float_of_int rounds in
-                Printf.printf
-                  "service cache-hit dispatch: %6.1f ms/submission (%d \
-                   rounds)\n"
-                  (per *. 1000.) rounds;
-                per)
-      in
-      let cache_json =
-        Printf.sprintf
-          "{\n\
-          \    \"jobs\": %d,\n\
-          \    \"cold_seconds\": %.3f,\n\
-          \    \"warm_seconds\": %.4f,\n\
-          \    \"speedup\": %.1f,\n\
-          \    \"warm_cached\": %b,\n\
-          \    \"bit_identical\": %b,\n\
-          \    \"service_hit_dispatch_ms\": %.2f\n\
-          \  }"
-          jobs t_cold t_warm speedup warm.Engine.cached identical
-          (t_dispatch *. 1000.)
-      in
-      let path = "BENCH_engine.json" in
-      let base =
-        if Sys.file_exists path then begin
-          let ic = open_in_bin path in
-          let text = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          text
-        end
-        else "{\n  \"benchmark\": \"bin_sem2/baseline\"\n}\n"
-      in
-      let find_sub hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec scan i =
-          if i + nn > nh then None
-          else if String.sub hay i nn = needle then Some i
-          else scan (i + 1)
-        in
-        scan 0
-      in
-      let trim_tail s =
-        let n = ref (String.length s) in
-        while !n > 0 && (s.[!n - 1] = '\n' || s.[!n - 1] = ' ') do
-          decr n
-        done;
-        String.sub s 0 !n
-      in
-      let body =
-        match find_sub base ",\n  \"cache\":" with
-        | Some i -> String.sub base 0 i
-        | None ->
-            let t = trim_tail base in
-            let n = String.length t in
-            if n > 0 && t.[n - 1] = '}' then trim_tail (String.sub t 0 (n - 1))
-            else t
-      in
-      let oc = open_out path in
-      output_string oc (body ^ ",\n  \"cache\": " ^ cache_json ^ "\n}\n");
-      close_out oc;
-      Printf.printf "spliced cache into BENCH_engine.json\n")
+      match Service.spawn_daemon ~config () with
+      | Error e -> Printf.printf "service latency skipped: no daemon (%s)\n" e
+      | Ok (pid, addr) ->
+          Fun.protect
+            ~finally:(fun () -> Service.kill_daemon pid)
+            (fun () ->
+              let cell = Service.cell_of_spec (Spec.of_golden ~policy golden) in
+              let hit () =
+                match Service.submit ~addr [ cell ] with
+                | Ok [ r ] when r.Service.r_cached -> ()
+                | Ok _ -> failwith "service returned a non-hit"
+                | Error msg -> failwith msg
+              in
+              hit () (* connect-path warmup *);
+              let rounds = 10 in
+              let (), t =
+                time (fun () ->
+                    for _ = 1 to rounds do
+                      hit ()
+                    done)
+              in
+              Printf.printf
+                "service cache-hit dispatch: %6.1f ms/submission (%d rounds)\n"
+                (t /. float_of_int rounds *. 1000.)
+                rounds))
 
 let run_engine_faultspace () =
   section
     "ENGM | Fault-model throughput: experiments/second per pluggable model \
-     through the shared engine (splices \"faultspace\" into \
-     BENCH_engine.json)";
+     through the shared engine";
   let smoke = Sys.getenv_opt "FI_BENCH_SMOKE" <> None in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let program = if smoke then Mbox1.baseline () else Bin_sem2.baseline () in
   let golden = Golden.run program in
   let rt = Regspace.analyze program in
@@ -968,92 +565,26 @@ let run_engine_faultspace () =
     [ Faultspace.Bitflip_mem; Faultspace.Bitflip_reg; Faultspace.burst 3;
       Faultspace.burst ~row:2 3; Faultspace.Skip ]
   in
-  let measured =
-    List.map
-      (fun model ->
-        let spec =
-          match model with
-          | Faultspace.Bitflip_reg -> Spec.of_regspace rt
-          | m -> Spec.of_golden ~model:m golden
-        in
-        let scan, seconds =
-          time (fun () ->
-              Engine.scan_exn (Engine.run_spec_result ~jobs:0 spec))
-        in
-        let experiments = Array.length scan.Scan.experiments in
-        let rate = if seconds > 0. then float experiments /. seconds else 0. in
-        Printf.printf "%-10s : %7d experiments  %6.2f s  %9.0f exp/s\n"
-          (Faultspace.tag model) experiments seconds rate;
-        (Faultspace.tag model, experiments, seconds, rate))
-      models
-  in
-  if smoke then
-    Printf.printf
-      "smoke mode: per-model throughput measured; BENCH_engine.json left \
-       untouched\n"
-  else begin
-    (* Same idempotent splice discipline as the other engine sections. *)
-    let path = "BENCH_engine.json" in
-    let base =
-      if Sys.file_exists path then begin
-        let ic = open_in_bin path in
-        let text = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        text
-      end
-      else "{\n  \"benchmark\": \"bin_sem2/baseline\"\n}\n"
-    in
-    let find_sub hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec scan i =
-        if i + nn > nh then None
-        else if String.sub hay i nn = needle then Some i
-        else scan (i + 1)
+  List.iter
+    (fun model ->
+      let spec =
+        match model with
+        | Faultspace.Bitflip_reg -> Spec.of_regspace rt
+        | m -> Spec.of_golden ~model:m golden
       in
-      scan 0
-    in
-    let trim_tail s =
-      let n = ref (String.length s) in
-      while !n > 0 && (s.[!n - 1] = '\n' || s.[!n - 1] = ' ') do
-        decr n
-      done;
-      String.sub s 0 !n
-    in
-    let fs_json =
-      Printf.sprintf "{\n%s\n  }"
-        (String.concat ",\n"
-           (List.map
-              (fun (tag, experiments, seconds, rate) ->
-                Printf.sprintf
-                  "    \"%s\": {\"experiments\": %d, \"seconds\": %.3f, \
-                   \"per_second\": %.0f}"
-                  tag experiments seconds rate)
-              measured))
-    in
-    let body =
-      match find_sub base ",\n  \"faultspace\":" with
-      | Some i -> String.sub base 0 i
-      | None ->
-          let t = trim_tail base in
-          let n = String.length t in
-          if n > 0 && t.[n - 1] = '}' then trim_tail (String.sub t 0 (n - 1))
-          else t
-    in
-    let oc = open_out path in
-    output_string oc (body ^ ",\n  \"faultspace\": " ^ fs_json ^ "\n}\n");
-    close_out oc;
-    Printf.printf "spliced faultspace into BENCH_engine.json\n"
-  end
+      let scan, seconds =
+        time (fun () -> Engine.scan_exn (Engine.run_spec_result ~jobs:0 spec))
+      in
+      let experiments = Array.length scan.Scan.experiments in
+      let rate = if seconds > 0. then float experiments /. seconds else 0. in
+      Printf.printf "%-10s : %7d experiments  %6.2f s  %9.0f exp/s\n"
+        (Faultspace.tag model) experiments seconds rate)
+    models
 
 let run_matrix_parallel () =
   section
     "ENGM | Matrix engine: paper pairs back-to-back serial vs one engine \
-     matrix (emits BENCH_matrix.json)";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
+     matrix";
   (* Back-to-back serial conductors: the pre-matrix way of covering the
      Figure-2 cells. *)
   let serial, t_serial =
@@ -1092,33 +623,7 @@ let run_matrix_parallel () =
   if cores = 1 then
     Printf.printf
       "note: single-core host — parallel speedup is not observable here;\n\
-      \      the matrix still shares one pool and merges identically.\n";
-  let json =
-    let run_fields =
-      List.map
-        (fun (jobs, t, identical) ->
-          Printf.sprintf
-            "    {\"jobs\": %d, \"seconds\": %.3f, \"speedup\": %.3f, \
-             \"bit_identical\": %b}"
-            jobs t (t_serial /. t) identical)
-        runs
-    in
-    Printf.sprintf
-      "{\n\
-      \  \"matrix\": \"paper_pairs\",\n\
-      \  \"host_cores\": %d,\n\
-      \  \"cells\": %d,\n\
-      \  \"experiments\": %d,\n\
-      \  \"serial_seconds\": %.3f,\n\
-      \  \"run_matrix\": [\n%s\n  ]\n\
-       }\n"
-      cores (List.length serial) experiments t_serial
-      (String.concat ",\n" run_fields)
-  in
-  let oc = open_out "BENCH_matrix.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_matrix.json\n"
+      \      the matrix still shares one pool and merges identically.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                          *)
@@ -1230,7 +735,6 @@ let artifacts =
     ("ratios", run_ratios);
     ("ablation", run_ablation);
     ("registers", run_registers);
-    ("engine", run_engine);
     ("engine-parallel", run_engine_parallel);
     ("engine-checkpoint", run_engine_checkpoint);
     ("engine-fuzz", run_engine_fuzz);

@@ -24,29 +24,12 @@ let default_stride = 128
    byte / register the golden tail still reads before overwriting
    provably replays that tail, so its outcome is computable without
    simulating it. *)
-(* A rendezvous anchor: the golden state just after emitting serial
-   byte [position], for catching cycle-shifted re-convergence.  A
-   faulty run that rejoins the golden instruction stream with a cycle
-   offset never satisfies [converges_with] (cycle counts differ at
-   every ladder entry), but when it emits output byte [n] it is — by
-   construction — about to replay golden's tail from golden's byte-[n]
-   state.  That emission is an exact, cheaply detectable rendezvous
-   point. *)
-type anchor = {
-  a_cycle : int; (* golden cycle just after emitting the byte *)
-  a_snap : Machine.Snapshot.t;
-  a_ram_live : int array;
-  a_reg_mask : int;
-}
-
 type plan = {
   stride : int;
   ladder : Machine.Snapshot.t array; (* ascending cycles, running states *)
   ladder_cycles : int array;
   ram_live : int array array; (* per ladder entry: live-in RAM bytes *)
   reg_mask : int array; (* per ladder entry: live-in register bitmask *)
-  anchor_at : anchor option array; (* indexed by serial byte position *)
-  trap_bits : Bytes.t; (* anchored positions, as a Machine trap bitmap *)
   shift_index : (int, int) Hashtbl.t;
       (* golden {!Machine.state_hash} at every cycle -> that cycle, for
          guessing the offset of cycle-shifted re-convergence *)
@@ -72,34 +55,17 @@ let fold_live_in ~ladder_cycles accesses ~live =
   fill 0 accesses
 
 (* Replay the golden execution once more (plain compiled machine, no
-   tracer), picking serial anchor positions — the first byte emitted at
-   least [stride] cycles after the previous anchor, as
-   [(position, cycle, snapshot)] in ascending order — and indexing the
-   golden {!Machine.state_hash} of every cycle for shift guessing. *)
-let golden_survey golden ~stride =
-  let glen = String.length golden.Golden.output in
-  let shift_index = Hashtbl.create (2 * golden.Golden.cycles) in
+   tracer), indexing the golden {!Machine.state_hash} of every cycle
+   for shift guessing. *)
+let shift_index golden =
+  let index = Hashtbl.create (2 * golden.Golden.cycles) in
   let machine = Machine.create golden.Golden.program in
-  let last = ref (-stride) in
-  let prev_len = ref 0 in
-  let points = ref [] in
   while Machine.stopped machine = None do
     Machine.step machine;
     if Machine.stopped machine = None then
-      Hashtbl.add shift_index
-        (Machine.state_hash machine)
-        (Machine.cycle machine);
-    let n = Machine.serial_length machine in
-    if n > !prev_len then begin
-      prev_len := n;
-      let c = Machine.cycle machine in
-      if c >= !last + stride && n <= glen then begin
-        last := c;
-        points := (n - 1, c, Machine.Snapshot.capture machine) :: !points
-      end
-    end
+      Hashtbl.add index (Machine.state_hash machine) (Machine.cycle machine)
   done;
-  (List.rev !points, shift_index)
+  index
 
 let build_plan golden ~stride =
   (* Replay the golden execution once, tracing register accesses for
@@ -132,15 +98,11 @@ let build_plan golden ~stride =
            Machine.pp_stop_reason reason));
   let ladder_cycles = Array.map Machine.Snapshot.cycle ladder in
   let nl = Array.length ladder_cycles in
-  let points, shift_index = golden_survey golden ~stride in
-  let anchor_cycles = Array.of_list (List.map (fun (_, c, _) -> c) points) in
-  let na = Array.length anchor_cycles in
   let ram_size = golden.Golden.program.Program.ram_size in
   let ram_acc = Array.make ram_size [] in
   Trace.iter_byte_accesses golden.Golden.trace (fun ~byte ~cycle ~kind ->
       ram_acc.(byte) <- (cycle, kind = Trace.Read) :: ram_acc.(byte));
   let live_lists = Array.make nl [] in
-  let a_live_lists = Array.make na [] in
   for b = ram_size - 1 downto 0 do
     let accesses =
       List.sort
@@ -149,52 +111,26 @@ let build_plan golden ~stride =
         (List.rev ram_acc.(b))
     in
     fold_live_in ~ladder_cycles accesses ~live:(fun i ->
-        live_lists.(i) <- b :: live_lists.(i));
-    fold_live_in ~ladder_cycles:anchor_cycles accesses ~live:(fun i ->
-        a_live_lists.(i) <- b :: a_live_lists.(i))
+        live_lists.(i) <- b :: live_lists.(i))
   done;
   let reg_mask = Array.make nl 0 in
-  let a_reg_mask = Array.make na 0 in
   for r = 1 to 15 do
     let accesses = List.rev reg_acc.(r) in
     fold_live_in ~ladder_cycles accesses ~live:(fun i ->
-        reg_mask.(i) <- reg_mask.(i) lor (1 lsl r));
-    fold_live_in ~ladder_cycles:anchor_cycles accesses ~live:(fun i ->
-        a_reg_mask.(i) <- a_reg_mask.(i) lor (1 lsl r))
+        reg_mask.(i) <- reg_mask.(i) lor (1 lsl r))
   done;
-  let glen = String.length golden.Golden.output in
-  let anchor_at = Array.make glen None in
-  let trap_bits =
-    if points = [] then Bytes.empty
-    else Bytes.make ((glen + 7) / 8) '\000'
-  in
-  List.iteri
-    (fun i (p, c, snap) ->
-      anchor_at.(p) <-
-        Some
-          {
-            a_cycle = c;
-            a_snap = snap;
-            a_ram_live = Array.of_list a_live_lists.(i);
-            a_reg_mask = a_reg_mask.(i);
-          };
-      Bytes.set trap_bits (p lsr 3)
-        (Char.chr (Char.code (Bytes.get trap_bits (p lsr 3)) lor (1 lsl (p land 7)))))
-    points;
   {
     stride;
     ladder;
     ladder_cycles;
     ram_live = Array.map Array.of_list live_lists;
     reg_mask;
-    anchor_at;
-    trap_bits;
-    shift_index;
+    shift_index = shift_index golden;
   }
 
 (* Outcome of a run that provably re-converged with the golden
-   execution at checkpoint [snap] (a ladder entry or a rendezvous
-   anchor): the tail replays golden, so splice the golden tail onto
+   execution at ladder checkpoint [snap], at its own or a shifted
+   cycle: the tail replays golden, so splice the golden tail onto
    what the faulty run emitted so far.  Serial output and events are
    execution history, not machine state, so the splice is sound even
    when the prefixes disagree — the run just carries its corrupted
@@ -232,7 +168,6 @@ type exit_path =
   | Natural_stop
   | Ladder_splice
   | Shifted_splice
-  | Anchor_splice
   | Loop_proof
   | Watchdog
 
@@ -240,9 +175,11 @@ let path_slot = function
   | Natural_stop -> 0
   | Ladder_splice -> 1
   | Shifted_splice -> 2
-  | Anchor_splice -> 3
-  | Loop_proof -> 4
-  | Watchdog -> 5
+  | Loop_proof -> 3
+  | Watchdog -> 4
+
+let all_paths =
+  [ Natural_stop; Ladder_splice; Shifted_splice; Loop_proof; Watchdog ]
 
 type session = {
   provider : provider;
@@ -269,12 +206,10 @@ let exit_run s path ~cycles outcome =
    the run as the watchdog would.  Failure spends the run's one
    attempt: almost every provable loop is proven at its first trigger,
    so the probe is disarmed and the rest of the run is simulated in
-   the probe-free loop. *)
-type probe = Unarmed | Armed | Spent
+   the probe-free loop, so the probe is armed at most once per run.
 
-(* Consecutive failed ladder-boundary convergence checks (with no live
-   shift hypothesis) before the pc-recurrence probe is armed early: a
-   run that has been divergent for this many strides is usually either
+   [probe_miss_arm] consecutive failed ladder-boundary convergence
+   checks (with no live shift hypothesis) arm the probe early: a run that has been divergent for this many strides is usually either
    about to stop on its own or stuck in a loop, and the probe makes the
    latter cheap to prove long before the ladder runs out. *)
 let probe_miss_arm = 6
@@ -297,7 +232,7 @@ let finish_planned s plan golden machine ~c0 =
     in
     search 0 nl
   in
-  let probe = ref Unarmed in
+  let armed = ref false in
   let delta = ref 0 in
   let dj = ref nl in (* next shifted ladder entry to test; [nl] = none *)
   let dfail = ref 0 in (* consecutive failed rendezvous tests *)
@@ -309,10 +244,10 @@ let finish_planned s plan golden machine ~c0 =
        short-lived (see [dfail]), so loop-bound runs still get the
        probe promptly. *)
     if
-      (i >= nl || !misses >= probe_miss_arm) && !dj >= nl && !probe = Unarmed
+      (i >= nl || !misses >= probe_miss_arm) && !dj >= nl && not !armed
     then begin
       Machine.probe_pc_recurrence machine;
-      probe := Armed
+      armed := true
     end;
     let target =
       let ntarget =
@@ -326,31 +261,7 @@ let finish_planned s plan golden machine ~c0 =
     match Machine.stopped machine with
     | Some stop -> finish Natural_stop (classify_stopped golden machine stop)
     | None ->
-        if Machine.take_serial_trap machine then begin
-          (* The trap displaced any armed probe; re-arm on resume. *)
-          if !probe = Armed then probe := Unarmed;
-          let n = Machine.serial_length machine in
-          let hit =
-            if n >= 1 && n - 1 < Array.length plan.anchor_at then
-              match plan.anchor_at.(n - 1) with
-              | Some a
-                when Machine.rendezvous_with machine a.a_snap
-                       ~ram_live:a.a_ram_live ~reg_mask:a.a_reg_mask
-                     && Machine.cycle machine
-                        + (golden.Golden.cycles - a.a_cycle)
-                        <= limit ->
-                  (* The run replays golden's tail shifted in time, and
-                     the shifted finish still beats the watchdog. *)
-                  Some a.a_snap
-              | Some _ | None -> None
-            else None
-          in
-          match hit with
-          | Some snap ->
-              finish Anchor_splice (spliced_outcome golden machine snap)
-          | None -> go i
-        end
-        else if Machine.pc_recurrence machine <> None then begin
+        if Machine.pc_recurrence machine <> None then begin
           let c = Machine.cycle machine in
           if Loopproof.prove_no_halt s.scratch machine ~limit then
             finish Loop_proof (timeout_outcome golden machine)
@@ -363,7 +274,6 @@ let finish_planned s plan golden machine ~c0 =
             s.failed_proof_cycles <-
               s.failed_proof_cycles + (Machine.cycle machine - c);
             Machine.disarm_pc_recurrence machine;
-            probe := Spent;
             go i
           end
         end
@@ -448,7 +358,7 @@ let session provider =
     pristine = Machine.create provider.p_golden.Golden.program;
     at = 0;
     scratch = Loopproof.scratch ();
-    exits = Array.make 12 0;
+    exits = Array.make (2 * List.length all_paths) 0;
     failed_proofs = 0;
     failed_proof_cycles = 0;
   }
@@ -459,7 +369,6 @@ type session_stats = {
   natural_stop : path_stats;
   ladder_splice : path_stats;
   shifted_splice : path_stats;
-  anchor_splice : path_stats;
   loop_proof : path_stats;
   watchdog : path_stats;
   proof_attempts : int;
@@ -477,7 +386,6 @@ let session_stats (s : session) =
     natural_stop = path Natural_stop;
     ladder_splice = path Ladder_splice;
     shifted_splice = path Shifted_splice;
-    anchor_splice = path Anchor_splice;
     loop_proof;
     watchdog = path Watchdog;
     (* every attempt either proves its run or fails *)
@@ -491,7 +399,6 @@ let exit_paths st =
     ("natural stop", st.natural_stop);
     ("ladder splice", st.ladder_splice);
     ("shifted splice", st.shifted_splice);
-    ("anchor splice", st.anchor_splice);
     ("loop proof", st.loop_proof);
     ("watchdog", st.watchdog);
   ]
@@ -539,9 +446,7 @@ let session_run_flip s ~cycle ~flip =
         (if stop = Machine.Cycle_limit then Watchdog else Natural_stop)
         ~cycles:(Machine.cycle machine - c0)
         (classify_stopped golden machine stop)
-  | Planned plan ->
-      Machine.trap_serial machine ~positions:plan.trap_bits;
-      finish_planned s plan golden machine ~c0
+  | Planned plan -> finish_planned s plan golden machine ~c0
 
 let session_run_at s coord =
   check_coord s.provider.p_golden coord;

@@ -21,9 +21,8 @@
     - classifies a faulty run as soon as it provably re-converges with
       the golden execution — at a checkpoint (pc, cycle and every
       still-live RAM byte and register agree — liveness comes from the
-      golden def/use trace), at a cycle-shifted checkpoint, or at a
-      serial-output anchor — or is proven never to stop before the
-      watchdog, instead of simulating the remaining cycles.  The
+      golden def/use trace) or at a cycle-shifted checkpoint — or is
+      proven never to stop before the watchdog, instead of simulating the remaining cycles.  The
       non-termination proof ({!Loopproof}) is attempted at most once
       per faulty run, when a pc-recurrence probe first finds the run
       looping; if it fails, the run is simulated to its end.
@@ -98,8 +97,6 @@ type session_stats = {
       (** Converged with a golden checkpoint at its own cycle. *)
   shifted_splice : path_stats;
       (** Converged with a golden checkpoint at a shifted cycle. *)
-  anchor_splice : path_stats;
-      (** Converged at a serial-output rendezvous anchor. *)
   loop_proof : path_stats;
       (** Proven never to stop before the watchdog (a [Timeout]). *)
   watchdog : path_stats;
@@ -111,12 +108,12 @@ type session_stats = {
 }
 
 val session_stats : session -> session_stats
-(** The session's counters so far.  The [runs] of all six paths sum to
+(** The session's counters so far.  The [runs] of all five paths sum to
     the experiments conducted; [loop_proof] plus [watchdog] runs are
     exactly the [Timeout] outcomes. *)
 
 val exit_paths : session_stats -> (string * path_stats) list
-(** The six paths in declaration order, named for tables. *)
+(** The five paths in declaration order, named for tables. *)
 
 val run_at : Golden.t -> Coordspace.coord -> Outcome.t
 (** One-shot experiment at an arbitrary coordinate: a plan-of-one,

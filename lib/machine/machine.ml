@@ -45,9 +45,6 @@ type t = {
   mutable events : (int * int32) list; (* reversed *)
   mutable stop : stop_reason option;
   mutable hunt : hunt option;
-  mutable serial_trap : Bytes.t;
-      (* bitmap over output byte positions; emitting a flagged byte
-         suspends the run for a rendezvous-anchor check (empty = off) *)
   tracer : tracer option;
   exec_tracer : exec_tracer option;
 }
@@ -58,7 +55,6 @@ type t = {
    itself, but hands the caller a loop-period candidate for deeper
    analysis (see {!Loopproof}). *)
 and hunt = {
-  h_serial : bool; (* suspension raised by the serial-position trap *)
   mutable h_pc : int;
   mutable h_window : int; (* current Brent window, in cycles *)
   mutable h_left : int; (* cycles left before the tortoise moves *)
@@ -189,29 +185,8 @@ let load_word m addr =
   | Memmap.Unmapped -> raise (Stop (Trapped (Unmapped_access addr)))
 
 let mmio_store m addr value =
-  if addr = Memmap.serial_port then begin
-    Buffer.add_char m.serial (Char.chr (value land 0xFF));
-    let bits = m.serial_trap in
-    if Bytes.length bits > 0 then begin
-      (* position of the byte just emitted *)
-      let n = m.serial_pre_len + Buffer.length m.serial - 1 in
-      if
-        n < 8 * Bytes.length bits
-        && Char.code (Bytes.unsafe_get bits (n lsr 3)) land (1 lsl (n land 7))
-           <> 0
-      then
-        m.hunt <-
-          Some
-            {
-              h_serial = true;
-              h_pc = m.pc;
-              h_window = 0;
-              h_left = max_int;
-              h_dist = 0;
-              h_stop = true;
-            }
-    end
-  end
+  if addr = Memmap.serial_port then
+    Buffer.add_char m.serial (Char.chr (value land 0xFF))
   else if addr = Memmap.detect_port then
     m.events <- (m.cyc, Int32.of_int (signed value)) :: m.events
   else if addr = Memmap.panic_port then
@@ -576,7 +551,6 @@ let create ?tracer ?exec_tracer prog =
     events = [];
     stop = None;
     hunt = None;
-    serial_trap = Bytes.empty;
     tracer;
     exec_tracer;
   }
@@ -591,7 +565,6 @@ let probe_pc_recurrence m =
   m.hunt <-
     Some
       {
-        h_serial = false;
         h_pc = m.pc;
         h_window = hunt_window0;
         h_left = hunt_window0;
@@ -634,7 +607,7 @@ let scan_pcs m buf ~len =
 
 let pc_recurrence m =
   match m.hunt with
-  | Some h when (not h.h_serial) && h.h_stop -> Some h.h_dist
+  | Some h when h.h_stop -> Some h.h_dist
   | Some _ | None -> None
 
 let state_hash m =
@@ -644,15 +617,6 @@ let state_hash m =
     h := (!h lxor Array.unsafe_get regs i) * 0x01000193 land max_int
   done;
   !h
-
-let trap_serial m ~positions = m.serial_trap <- positions
-
-let take_serial_trap m =
-  match m.hunt with
-  | Some h when h.h_serial && h.h_stop ->
-      m.hunt <- None;
-      true
-  | Some _ | None -> false
 
 let hunt_step m h =
   if h.h_stop then ()
@@ -736,7 +700,6 @@ let fork ?tracer m =
     regs = Array.copy m.regs;
     serial;
     hunt = None;
-    serial_trap = Bytes.empty;
     tracer;
     exec_tracer = None;
   }
@@ -794,7 +757,6 @@ module Snapshot = struct
       events = s.s_events;
       stop = s.s_stop;
       hunt = None;
-      serial_trap = Bytes.empty;
       tracer;
       exec_tracer = None;
     }

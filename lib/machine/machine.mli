@@ -222,24 +222,6 @@ val state_hash : t -> int
     is a {e hypothesis} to be verified with {!rendezvous_with}, never a
     proof. *)
 
-val trap_serial : t -> positions:Bytes.t -> unit
-(** Arm the serial rendezvous trap: [positions] is a bitmap over
-    serial-output byte positions (bit [n] of byte [n/8]); when the
-    machine emits the byte at a flagged position, the run suspends
-    right after the emitting instruction ({!stopped} stays [None]).
-    Emitting a serial byte is the one hot-path event that pins a
-    cycle-shifted run to a known golden position, so it is the natural
-    trigger for a {!rendezvous_with} check.  The empty bitmap (the
-    default; never inherited by {!fork} or restored machines) disarms
-    the trap at zero per-cycle cost. *)
-
-val take_serial_trap : t -> bool
-(** Consume a pending serial-trap suspension: [true] iff the trap
-    fired, in which case the suspension is cleared and the run can be
-    resumed.  The caller should check this before {!pc_recurrence} —
-    a firing trap displaces an armed probe, which then needs
-    re-arming. *)
-
 val probe_pc_recurrence : t -> unit
 (** Arm the pc-recurrence probe: a Brent tortoise — one [pc],
     recaptured with exponentially growing windows (the first is 32
@@ -252,11 +234,10 @@ val probe_pc_recurrence : t -> unit
     restored machines never inherit one. *)
 
 val disarm_pc_recurrence : t -> unit
-(** Drop the armed probe, together with any pending suspension (a
-    fired probe or serial trap), so the run loops go back to their
-    probe-free fast path.  The serial trap bitmap itself stays armed.
-    A caller whose loop proof failed disarms the probe for the rest of
-    the run rather than paying for further triggers. *)
+(** Drop the armed probe, together with a pending suspension, so the
+    run loops go back to their probe-free fast path.  A caller whose
+    loop proof failed disarms the probe for the rest of the run rather
+    than paying for further triggers. *)
 
 val pc_recurrence : t -> int option
 (** [Some d] iff an armed {!probe_pc_recurrence} detector suspended the

@@ -16,8 +16,9 @@ let check_scans_identical msg reference scan =
 (* A small kernel whose fault space provokes every interesting shape of
    faulty run: a RAM-resident loop bound (bit flips yield watchdog
    timeouts for the ladder's loop-proof shortcut to classify), serial
-   output spread over the run (rendezvous anchors), and enough data flow
-   that some faults converge back onto the golden trace mid-run. *)
+   output spread over the run (faulty prefixes the splices must carry
+   under the golden tail), and enough data flow that some faults
+   converge back onto the golden trace mid-run. *)
 let looper () =
   let open Builder in
   prog ~name:"looper" ~stack:64
@@ -145,14 +146,15 @@ let test_stride_identity_registers () =
 (* Exit-path counters and the timeout paths on the real suite         *)
 (* ------------------------------------------------------------------ *)
 
-(* [Scan.serial] over [classes] on [provider]: the outcomes in class
-   order, and the counters of the session it conducted on. *)
-let scan_with_stats provider classes =
+(* [Scan.serial] over [classes] on [provider] (memory-space experiments
+   unless [conduct] says otherwise): the outcomes in class order, and
+   the counters of the session it conducted on. *)
+let scan_with_stats ?(conduct = Scan.conduct_class) provider classes =
   let golden = Injector.provider_golden provider in
   let session = ref (Injector.session provider) in
   let conduct s c ~bit_in_byte =
     session := s;
-    Scan.conduct_class s c ~bit_in_byte
+    conduct s c ~bit_in_byte
   in
   let scan =
     Scan.serial ~provider ~golden
@@ -164,6 +166,11 @@ let scan_with_stats provider classes =
 
 let count o outcomes =
   Array.fold_left (fun n o' -> if o' = o then n + 1 else n) 0 outcomes
+
+let total_cycles st =
+  List.fold_left
+    (fun n (_, (p : Injector.path_stats)) -> n + p.cycles)
+    0 (Injector.exit_paths st)
 
 (* Every run ends on exactly one path, and the Timeouts are exactly the
    proven and the watchdog-bound runs. *)
@@ -183,11 +190,16 @@ let check_accounting msg outcomes (st : Injector.session_stats) =
   Alcotest.(check bool)
     (msg ^ ": failed-proof cycles within the runs' cycles")
     true
-    (st.failed_proof_cycles >= 0
-    && st.failed_proof_cycles
-       <= List.fold_left
-            (fun n (_, (p : Injector.path_stats)) -> n + p.cycles)
-            0 (Injector.exit_paths st))
+    (st.failed_proof_cycles >= 0 && st.failed_proof_cycles <= total_cycles st)
+
+(* Every k-th class of [classes] in t_end order, about [n] of them. *)
+let every_kth classes n =
+  let classes = Array.copy classes in
+  Array.stable_sort
+    (fun a b -> compare a.Defuse.t_end b.Defuse.t_end)
+    classes;
+  let k = max 1 (Array.length classes / n) in
+  Array.init (Array.length classes / k) (fun i -> classes.(i * k))
 
 let test_exit_path_counters () =
   let golden = Lazy.force looper_golden in
@@ -224,14 +236,7 @@ let test_exit_path_counters () =
    k-th class of sync2/sum+dmr in t_end order, about 400 classes. *)
 let test_sync2_timeout_paths () =
   let golden = Golden.run (Sync2.sum_dmr ()) in
-  let classes = Array.copy (Defuse.experiment_classes golden.Golden.defuse) in
-  Array.stable_sort
-    (fun a b -> compare a.Defuse.t_end b.Defuse.t_end)
-    classes;
-  let k = max 1 (Array.length classes / 400) in
-  let sample =
-    Array.init (Array.length classes / k) (fun i -> classes.(i * k))
-  in
+  let sample = every_kth (Defuse.experiment_classes golden.Golden.defuse) 400 in
   let reference, _ = scan_with_stats (Injector.replay golden) sample in
   let outcomes, st = scan_with_stats (Injector.plan golden) sample in
   Alcotest.(check bool) "plan = replay" true (outcomes = reference);
@@ -242,6 +247,51 @@ let test_sync2_timeout_paths () =
   Alcotest.(check bool) "loop proofs exercised" true (st.loop_proof.runs > 0);
   Alcotest.(check bool) "watchdog exercised" true (st.watchdog.runs > 0);
   Alcotest.(check bool) "failed proofs exercised" true (st.failed_proofs > 0)
+
+(* The exact cycles gate: simulated cycles are deterministic, so the
+   conduction cost of a fixed cell can be pinned with zero tolerance.
+   The budget is the total over all exit paths of one plan session
+   scanning flag1/baseline's memory space at the default stride.  A
+   change that raises it has made every campaign dearer; a change that
+   cuts it should lower the constant to the new total the failure
+   message reports, so later changes cannot give the saving back. *)
+let flag1_mem_cycle_budget = 37_128_257
+
+let test_flag1_cycle_budget () =
+  let golden = Golden.run (Flag1.baseline ()) in
+  let classes = Defuse.experiment_classes golden.Golden.defuse in
+  let reference, _ = scan_with_stats (Injector.replay golden) classes in
+  let outcomes, st = scan_with_stats (Injector.plan golden) classes in
+  Alcotest.(check bool) "plan = replay" true (outcomes = reference);
+  check_accounting "flag1/baseline" outcomes st;
+  let cycles = total_cycles st in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d simulated cycles <= budget %d" cycles
+       flag1_mem_cycle_budget)
+    true
+    (cycles <= flag1_mem_cycle_budget)
+
+(* The register-space differential where cycle-shifted re-convergence
+   matters most: sync2/baseline, every k-th class in t_end order, a few
+   thousand experiments.  Shifted splices must occur, so the path that
+   catches shifted rendezvous is exercised against replay. *)
+let test_sync2_register_shifted () =
+  let cell =
+    Faultspace.analyse Faultspace.Bitflip_reg (Sync2.baseline ())
+  in
+  let golden = cell.Faultspace.golden in
+  let sample = every_kth cell.Faultspace.classes 400 in
+  let conduct = cell.Faultspace.conduct in
+  let reference, _ =
+    scan_with_stats ~conduct (Injector.replay golden) sample
+  in
+  let outcomes, st = scan_with_stats ~conduct (Injector.plan golden) sample in
+  Alcotest.(check bool) "plan = replay" true (outcomes = reference);
+  check_accounting "sync2/baseline registers" outcomes st;
+  Alcotest.(check bool) "a few thousand experiments" true
+    (Array.length outcomes >= 2000);
+  Alcotest.(check bool) "shifted splices exercised" true
+    (st.shifted_splice.runs > 0)
 
 (* ------------------------------------------------------------------ *)
 (* run_at / session equivalence on ladder sessions                    *)
@@ -416,5 +466,9 @@ let suite =
         test_exit_path_counters;
       Alcotest.test_case "sync2/sum+dmr timeout paths: plan = replay" `Quick
         test_sync2_timeout_paths;
+      Alcotest.test_case "flag1/baseline memory: simulated-cycle budget" `Quick
+        test_flag1_cycle_budget;
+      Alcotest.test_case "sync2/baseline registers: shifted splices = replay"
+        `Quick test_sync2_register_shifted;
       QCheck_alcotest.to_alcotest qcheck_plan_equals_replay;
     ] )
