@@ -126,11 +126,13 @@ let engine_opts_term =
   let backend =
     let doc =
       "Campaign execution backend: $(b,domains) (shared-memory OCaml \
-       domains in this process), $(b,processes) (fork/exec'd worker \
-       processes, one crash-isolated journal segment each — a killed \
-       worker only costs its unfinished shards, which $(b,--resume) \
-       replays) or $(b,sockets) (remote worker daemons — requires \
-       $(b,--workers)).  Results are bit-identical in every case."
+       domains in this process), $(b,processes) (crash-isolated \
+       fork/exec'd worker processes streaming shard records back over a \
+       private socketpair — a killed worker only costs its unfinished \
+       shards, which supervision retries or $(b,--resume) replays) or \
+       $(b,sockets) (remote worker daemons speaking the same protocol \
+       over TCP — requires $(b,--workers)).  Results are bit-identical \
+       in every case."
     in
     Arg.(
       value
@@ -148,9 +150,9 @@ let engine_opts_term =
     let doc =
       "Comma-separated $(b,HOST:PORT) addresses of remote worker daemons \
        (each started with $(b,fi-cli worker serve)).  Implies $(b,--backend \
-       sockets).  Jobs and journal-segment records cross the connections; \
-       the journal stays the only shared state, so $(b,--resume) heals a \
-       campaign whose remote workers vanished."
+       sockets).  Jobs go out and shard records come back over the \
+       connections; the campaign journal stays the only durable state, \
+       so $(b,--resume) heals a campaign whose remote workers vanished."
     in
     Arg.(
       value
@@ -1066,16 +1068,14 @@ let worker_cmd =
             records back over the connection.  Runs until killed.")
       Term.(const action $ listen $ workers $ secret)
   in
-  let stdio_action () = Worker.serve ~input:stdin ~output:stdout in
   Cmd.group
-    ~default:Term.(const stdio_action $ const ())
     (Cmd.info "worker"
        ~doc:
-         "Campaign worker entry points: the default serves one job over \
-          stdin/stdout (the $(b,--backend processes) child protocol, \
-          normally entered automatically via the $(b,FI_ENGINE_WORKER) \
-          environment variable); $(b,worker serve) runs a remote worker \
-          daemon for $(b,--backend sockets).")
+         "Campaign workers: $(b,worker serve) runs a remote worker \
+          daemon for $(b,--backend sockets).  Local \
+          $(b,--backend processes) workers need no command: the engine \
+          re-executes its own binary with the $(b,FI_ENGINE_WORKER) \
+          environment variable set.")
     [ serve_cmd ]
 
 (* ------------------------------------------------------------------ *)

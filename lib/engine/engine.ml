@@ -299,50 +299,50 @@ type cell_mode =
   | Local_processes of int
   | Remote_hosts of (Addr.t * int) array
 
-(* The supervisor's handle on one spawned worker.  [Piped] is a local
-   fork/exec child (doorbell pipe + journal segment).  [Netted] is a
-   connection to a remote daemon's worker: the same two streams arrive
-   re-framed ([Door] and [Seg] frames), and tearing the connection down
-   replaces SIGKILL.  [Stillborn] is a dispatch that never produced a
-   worker (connect or handshake failure): it settles through the
-   ordinary supervision path, so refusals and dead hosts earn retries,
-   backoff and quarantine exactly like any other worker death. *)
+(* The supervisor's handle on one spawned worker.  Both live kinds
+   speak the one framed protocol over a {!Transport.conn}: [Local] is a
+   fork/exec child on a socketpair, [Netted] a remote daemon's worker on
+   TCP.  They differ only in how they end: a local child is reaped for
+   its exit status and SIGKILLed on a blown deadline, a remote
+   connection is torn down instead.  [Stillborn] is a dispatch that
+   never produced a worker (connect or handshake failure): it settles
+   through the ordinary supervision path, so refusals and dead hosts
+   earn retries, backoff and quarantine exactly like any other worker
+   death. *)
 type link =
-  | Piped of Worker.child
+  | Local of Worker.child
   | Netted of Remote.client
   | Stillborn of { sb_index : int; sb_assigned : int array; sb_peer : string }
 
+let link_conn = function
+  | Local c -> Some c.Worker.conn
+  | Netted c -> Some c.Remote.conn
+  | Stillborn _ -> None
+
 let link_assigned = function
-  | Piped c -> Worker.assigned c
-  | Netted (c : Remote.client) -> c.Remote.assigned
+  | Local c -> c.Worker.assigned
+  | Netted c -> c.Remote.assigned
   | Stillborn s -> s.sb_assigned
 
 let link_who = function
-  | Piped c ->
-      Printf.sprintf "worker %d (pid %d)" (Worker.index c) (Worker.pid c)
+  | Local c -> Printf.sprintf "worker %d (pid %d)" c.Worker.index c.Worker.pid
   | Netted c ->
       Printf.sprintf "remote worker %d (%s)" c.Remote.index
         (Transport.peer c.Remote.conn)
   | Stillborn s -> Printf.sprintf "remote worker %d (%s)" s.sb_index s.sb_peer
 
-(* One record per spawned worker: its event stream, heartbeat clocks,
-   the read cursor into its journal segment (local workers), and what
+(* One record per spawned worker: its link, heartbeat clocks, and what
    became of it. *)
 type tracked = {
   link : link;
   t_rt : runtime;
-  spawned_at : float;
   mutable last_beat : float;  (** Last doorbell activity seen. *)
   mutable last_progress : float;  (** Last [s]/[end] doorbell line. *)
-  mutable st_pending : string;  (** Partial trailing doorbell line. *)
-  mutable seg_fd : Unix.file_descr option;
-  mutable seg_pending : string;  (** Partial trailing segment line. *)
-  mutable header_ok : bool;
   mutable corrupt : string option;
   mutable killed : string option;  (** Supervisor teardown reason. *)
-  mutable remote_err : string option;  (** [Err] frame / frame corruption. *)
+  mutable err : string option;  (** [Err] frame / frame corruption. *)
   mutable eof : bool;
-  mutable status : Unix.process_status option;
+  mutable status : Unix.process_status option;  (** Local workers. *)
   mutable settled : bool;
 }
 
@@ -353,32 +353,16 @@ let signal_name s =
   else if s = Sys.sigsegv then "SIGSEGV"
   else Printf.sprintf "signal %d" s
 
-(* Protocol lines on the doorbell (pipe lines or [Door] frames): [h] is
-   a heartbeat, [s <id>] and [end] are shard progress (and count as
-   beats too).  Anything else is stray stdout from the hosted binary's
-   own initialisation (the worker is a re-exec of whatever executable
-   embeds the engine) and must NOT count as a heartbeat — otherwise one
-   banner line at startup makes a genuinely hung worker look merely
-   stalled.  Distinguishing beats from progress is what separates a
-   hung worker (silent) from a stalled one (chatty, but going
-   nowhere). *)
+(* Doorbell lines ([Door] frames): [h] is a heartbeat, [s <id>] and
+   [end] are shard progress (and count as beats too).  Distinguishing
+   beats from progress is what separates a hung worker (silent) from a
+   stalled one (chatty, but going nowhere). *)
 let note_door_line t line now =
-  if line = "end" || (String.length line >= 2 && String.sub line 0 2 = "s ")
-  then begin
+  if line = "end" || String.starts_with ~prefix:"s " line then begin
     t.last_beat <- now;
     t.last_progress <- now
   end
   else if line = "h" then t.last_beat <- now
-
-let note_status_data t data now =
-  let rec go = function
-    | [] -> ()
-    | [ tail ] -> t.st_pending <- tail
-    | line :: rest ->
-        note_door_line t line now;
-        go rest
-  in
-  go (String.split_on_char '\n' (t.st_pending ^ data))
 
 (* When supervision is on but no [--shard-timeout] was given and no
    shard has completed yet, this ceiling bounds the wait for the very
@@ -541,99 +525,39 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
       in
 
       (* -------------------------------------------------------------- *)
-      (* Processes backend: fork/exec'd workers, one journal segment
-         each, merged into the campaign journal as doorbells arrive.
-         Cells run one after another (each gets the full worker count).
-         With supervision off (the library default policy), a dead or
-         corrupt worker is recorded and reported after every cell has
-         been driven as far as it will go — the seed behaviour.  With
-         supervision on, a dead/hung/stalled worker's unfinished shards
-         are re-dispatched (bounded, with backoff), and a shard that
-         exhausts its budget is quarantined or failed per policy. *)
+      (* Worker backends (processes and sockets): one framed protocol
+         over two transports.  Each worker is a {!Transport.conn} — a
+         socketpair to a fork/exec'd child, or TCP to a remote daemon's
+         child — streaming [Seg] records, [Door] doorbells and at most
+         one [Err]; the parent merges each record into the campaign
+         journal as it arrives.  Cells run one after another (each gets
+         the full worker count).  With supervision off (the library
+         default policy), a dead or corrupt worker is recorded and
+         reported after every cell has been driven as far as it will go
+         — the seed behaviour.  With supervision on, a dead/hung/stalled
+         worker's unfinished shards are re-dispatched (bounded, with
+         backoff), and a shard that exhausts its budget is quarantined or
+         failed per policy. *)
       (* -------------------------------------------------------------- *)
-      (* One merge path for both worker backends: a local worker's
-         journal segment and a remote worker's [Seg] frame stream carry
-         the same CRC-guarded lines (header first, then one record per
-         shard), so the dedup / fingerprint / corruption verdicts cannot
-         diverge between them. *)
       let merge_line t line =
-        let source () =
-          match t.link with
-          | Piped c -> Printf.sprintf "segment line in %s" (Worker.segment c)
-          | Netted _ | Stillborn _ -> "record line over its connection"
-        in
         if t.corrupt = None then
           match Journal.decode_line line with
-          | None ->
-              t.corrupt <-
-                Some (Printf.sprintf "wrote a CRC-invalid %s" (source ()))
-          | Some payload ->
-              if not t.header_ok then (
-                match Worker.segment_fingerprint payload with
-                | Some fp when fp = t.t_rt.fp -> t.header_ok <- true
-                | Some _ ->
-                    t.corrupt <-
-                      Some "wrote a segment for a different campaign"
-                | None -> t.corrupt <- Some "wrote a malformed segment header")
-              else
-                match Runcell.parse_record t.t_rt.plan payload with
-                | None -> t.corrupt <- Some "wrote a malformed segment record"
-                | Some (shard, outs) ->
-                    if not t.t_rt.shard_done.(shard.Shard.id) then
-                      merge_shard t.t_rt shard outs
-      in
-      (* Tail a local worker's segment from the last read position;
-         complete lines are merged, a trailing partial line (torn tail)
-         stays pending.  Remote workers have no segment file — their
-         lines were merged as [Seg] frames arrived — so this is a no-op
-         for them. *)
-      let drain t =
-        match t.link with
-        | Netted _ | Stillborn _ -> ()
-        | Piped child -> (
-            (match t.seg_fd with
-            | None -> (
-                try
-                  t.seg_fd <-
-                    Some
-                      (Unix.openfile (Worker.segment child) [ Unix.O_RDONLY ] 0)
-                with Unix.Unix_error _ -> ())
-            | Some _ -> ());
-            match t.seg_fd with
-            | None -> ()
-            | Some fd ->
-                let chunk = Bytes.create 65536 in
-                let data = Buffer.create 256 in
-                Buffer.add_string data t.seg_pending;
-                let continue = ref true in
-                while !continue do
-                  match Sysio.read_once fd chunk 0 (Bytes.length chunk) with
-                  | 0 -> continue := false
-                  | n -> Buffer.add_subbytes data chunk 0 n
-                done;
-                let text = Buffer.contents data in
-                let len = String.length text in
-                let start = ref 0 in
-                let stop = ref false in
-                while not !stop do
-                  match String.index_from_opt text !start '\n' with
-                  | None ->
-                      t.seg_pending <- String.sub text !start (len - !start);
-                      stop := true
-                  | Some nl ->
-                      merge_line t (String.sub text !start (nl - !start));
-                      start := nl + 1
-                done)
+          | None -> t.corrupt <- Some "sent a CRC-invalid record line"
+          | Some payload -> (
+              match Runcell.parse_record t.t_rt.plan payload with
+              | None -> t.corrupt <- Some "sent a malformed shard record"
+              | Some (shard, outs) ->
+                  if not t.t_rt.shard_done.(shard.Shard.id) then
+                    merge_shard t.t_rt shard outs)
       in
       let status_cause t =
-        match (t.killed, t.corrupt, t.link) with
-        | Some reason, _, _ -> reason
-        | None, Some c, _ -> c
-        | None, None, (Netted _ | Stillborn _) -> (
-            match t.remote_err with
-            | Some e -> e
-            | None -> "closed its connection with unfinished shards")
-        | None, None, Piped _ -> (
+        match (t.killed, t.corrupt, t.err, t.link) with
+        | Some reason, _, _, _ -> reason
+        | None, Some c, _, _ -> c
+        | None, None, Some e, _ -> e
+        | None, None, None, (Netted _ | Stillborn _) ->
+            "closed its connection with unfinished shards"
+        | None, None, None, Local _ -> (
             match t.status with
             | Some (Unix.WEXITED 0) -> "exited 0 with unfinished shards"
             | Some (Unix.WEXITED n) -> Printf.sprintf "exited with code %d" n
@@ -643,23 +567,29 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
                 Printf.sprintf "stopped by %s" (signal_name s)
             | None -> "was never reaped")
       in
-      (* Everything a remote worker says arrives as frames; doorbell
-         lines and segment lines feed the exact machinery the pipe
-         backend uses. *)
       let handle_frame t (kind, payload) =
         match kind with
         | Frame.Door -> note_door_line t payload (Unix.gettimeofday ())
         | Frame.Seg -> merge_line t payload
         | Frame.Err ->
-            if t.remote_err = None then
-              t.remote_err <- Some (Printf.sprintf "reported: %s" payload)
+            if t.err = None then
+              t.err <- Some (Printf.sprintf "reported: %s" payload)
         | Frame.Hello | Frame.Job | Frame.Submit | Frame.Stat | Frame.Prog
         | Frame.Res ->
-            if t.remote_err = None then
-              t.remote_err <-
+            if t.err = None then
+              t.err <-
                 Some
                   (Printf.sprintf "sent an unexpected %s frame"
                      (Frame.kind_tag kind))
+      in
+      (* The connection is gone: close our end and, for a local child,
+         reap it for the exit-status cause. *)
+      let hang_up t conn =
+        t.eof <- true;
+        Transport.close conn;
+        match t.link with
+        | Local c -> t.status <- Some (Worker.wait c)
+        | Netted _ | Stillborn _ -> ()
       in
       let run_cell mode rt failures =
         let policy = rt.cell.Runcell.spec.Spec.policy in
@@ -692,11 +622,6 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
           let redial_patience = 2.0 in
           (* (shard id, earliest dispatch time); dispatch sorts by id. *)
           let queue = ref (List.map (fun id -> (id, 0.)) (Array.to_list pending_ids)) in
-          let seg_path i =
-            match rt.journal_path with
-            | Some p -> Printf.sprintf "%s.seg%d" p i
-            | None -> Filename.temp_file "fi-segment" ".journal"
-          in
           let live () = List.filter (fun t -> not t.eof) !tracked in
           (* Per-host seat accounting for the sockets backend: a host's
              live connections occupy its seats; stillborn dispatches
@@ -730,16 +655,11 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
             {
               link;
               t_rt = rt;
-              spawned_at = now;
               last_beat = now;
               last_progress = now;
-              st_pending = "";
-              seg_fd = None;
-              seg_pending = "";
-              header_ok = false;
               corrupt = None;
               killed = None;
-              remote_err = err;
+              err;
               eof = (match link with Stillborn _ -> true | _ -> false);
               status = None;
               settled = false;
@@ -749,19 +669,14 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
             let idx = !spawn_counter in
             incr spawn_counter;
             let now = Unix.gettimeofday () in
+            let job =
+              Worker.wire_of_spec rt.cell.Runcell.spec
+                ~program:golden.Golden.program ~fingerprint:rt.fp ~shard_ids
+                ~index:idx
+            in
             let entry =
               match mode with
-              | Local_processes _ ->
-                  let job =
-                    {
-                      Worker.spec = rt.cell.Runcell.spec;
-                      fingerprint = rt.fp;
-                      shard_ids;
-                      segment = seg_path idx;
-                      index = idx;
-                    }
-                  in
-                  make_tracked (Piped (Worker.spawn job)) now
+              | Local_processes _ -> make_tracked (Local (Worker.spawn job)) now
               | Remote_hosts seats -> (
                   let stillborn peer err =
                     make_tracked ~err
@@ -781,12 +696,7 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
                           Some redial_patience
                         else None
                       in
-                      match
-                        Remote.dispatch ?patience ?secret ~addr
-                          ~fingerprint:rt.fp
-                          ~program:golden.Golden.program
-                          ~spec:rt.cell.Runcell.spec ~shard_ids ~index:idx ()
-                      with
+                      match Remote.dispatch ?patience ?secret ~addr job with
                       | Ok client ->
                           Hashtbl.remove suspect_hosts addr;
                           make_tracked (Netted client) now
@@ -842,23 +752,17 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
           in
           let settle t =
             t.settled <- true;
-            drain t;
-            (match t.seg_fd with
-            | Some fd ->
-                (try Unix.close fd with Unix.Unix_error _ -> ());
-                t.seg_fd <- None
-            | None -> ());
             let unfinished =
               List.filter
                 (fun id -> not (rt.shard_done.(id) || rt.quarantined.(id)))
                 (Array.to_list (link_assigned t.link))
             in
             let clean =
-              t.killed = None && t.corrupt = None
+              t.killed = None && t.corrupt = None && t.err = None
               && unfinished = []
               && (match t.link with
-                 | Piped _ -> t.status = Some (Unix.WEXITED 0)
-                 | Netted _ -> t.remote_err = None
+                 | Local _ -> t.status = Some (Unix.WEXITED 0)
+                 | Netted _ -> true
                  | Stillborn _ -> false)
             in
             if not clean then begin
@@ -983,18 +887,8 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
                       emit_observe ()
                     end
             end;
-            (* Everything merged lives in the campaign journal (when
-               there is one); the segment is scratch.  Keep it only as
-               corruption evidence.  A remote worker's "segment" is its
-               connection — just make sure it is torn down. *)
-            match t.link with
-            | Piped c ->
-                if t.corrupt = None then (
-                  try Sys.remove (Worker.segment c) with Sys_error _ -> ())
-            | Netted c -> Transport.close c.Remote.conn
-            | Stillborn _ -> ()
+            Option.iter Transport.close (link_conn t.link)
           in
-          let buf = Bytes.create 4096 in
           let rec supervise () =
             dispatch ();
             (* Stillborn dispatches are born settled-pending: push them
@@ -1034,51 +928,33 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
                   in
                   Float.max 0.01 (Float.min 0.5 t_nb)
                 in
-                let link_fd t =
-                  match t.link with
-                  | Piped c -> Some (Worker.status_fd c)
-                  | Netted c -> Some (Transport.fd c.Remote.conn)
-                  | Stillborn _ -> None
+                let fds =
+                  List.filter_map
+                    (fun t -> Option.map Transport.fd (link_conn t.link))
+                    alive
                 in
-                let fds = List.filter_map link_fd alive in
                 let readable = Sysio.select_read fds timeout in
                 List.iter
                   (fun t ->
-                    match t.link with
-                    | Stillborn _ -> ()
-                    | Piped c -> (
-                        let fd = Worker.status_fd c in
-                        if List.mem fd readable then
-                          match Sysio.read_avail fd buf with
-                          | `Nothing -> ()
-                          | `Data k ->
-                              note_status_data t
-                                (Bytes.sub_string buf 0 k)
-                                (Unix.gettimeofday ())
-                          | `Eof ->
-                              t.eof <- true;
-                              t.status <- Some (Worker.wait c);
-                              Sysio.close_quietly fd)
-                    | Netted c ->
-                        if List.mem (Transport.fd c.Remote.conn) readable then (
-                          match Transport.pump c.Remote.conn with
-                          | `Frames frames ->
-                              List.iter (handle_frame t) frames
-                          | `Eof ->
-                              t.eof <- true;
-                              Transport.close c.Remote.conn
-                          | `Corrupt msg ->
-                              if t.remote_err = None then
-                                t.remote_err <-
-                                  Some
-                                    (Printf.sprintf "sent a corrupt frame (%s)"
-                                       msg);
-                              t.eof <- true;
-                              Transport.close c.Remote.conn))
+                    match link_conn t.link with
+                    | Some conn when List.mem (Transport.fd conn) readable -> (
+                        match Transport.pump conn with
+                        | `Frames frames -> List.iter (handle_frame t) frames
+                        | `Eof -> hang_up t conn
+                        | `Corrupt msg ->
+                            if t.err = None then
+                              t.err <-
+                                Some
+                                  (Printf.sprintf "sent a corrupt frame (%s)"
+                                     msg);
+                            (* A local child may still be running: make
+                               sure the reap below cannot block. *)
+                            (match t.link with
+                            | Local c -> Worker.kill c
+                            | Netted _ | Stillborn _ -> ());
+                            hang_up t conn)
+                    | Some _ | None -> ())
                   alive;
-                (* Merge whatever the doorbells (or deaths) made
-                   visible. *)
-                List.iter (fun t -> if not t.settled then drain t) !tracked;
                 List.iter
                   (fun t -> if t.eof && not t.settled then settle t)
                   !tracked;
@@ -1108,7 +984,7 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
                             incr agg_kills;
                             let how =
                               match t.link with
-                              | Piped c ->
+                              | Local c ->
                                   Worker.kill c;
                                   "SIGKILLed"
                               | Netted c ->

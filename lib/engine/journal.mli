@@ -17,9 +17,9 @@
     into a torn tail.
 
     The journal is format-agnostic — payload syntax belongs to the
-    caller ({!Engine} stores one header record and one record per
-    completed shard; {!Worker} segments store a segment header and the
-    same shard records). *)
+    caller: {!Engine} stores one header record and one record per
+    completed shard, and {!Worker}s stream the same shard records as
+    single journal lines over their connections. *)
 
 type writer
 
@@ -36,15 +36,15 @@ val close : writer -> unit
 val encode_line : string -> string
 (** Render one payload as a journal line (CRC hex, space, payload; no
     trailing newline) — the inverse of {!decode_line}.  Exposed for the
-    socket transport, whose remote workers stream journal-format lines
-    in {!Frame.Seg} frames instead of appending to a local segment.
+    worker protocol, whose workers stream each shard record as one
+    journal line in a {!Frame.Seg} frame.
     @raise Invalid_argument if the payload contains a newline. *)
 
 val decode_line : string -> string option
 (** Decode one journal line (without its newline) to its payload; [None]
     if the line is malformed or its CRC does not match.  Exposed for
-    incremental readers (the engine tails worker journal segments as
-    they grow). *)
+    the engine, which checks each worker's [Seg] line before merging
+    it. *)
 
 type recovery =
   | Clean  (** Every byte of the file is a valid record. *)

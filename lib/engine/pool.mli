@@ -10,20 +10,22 @@
     tasks run inline on the calling domain in index order; this path is
     what makes [-j 1] behave exactly like a serial loop.
 
-    The {!Processes} backend is scheduled by {!Engine} itself (it needs
-    specs, journals and supervision — see {!Worker}); this module only
-    names it, so [--backend] means the same thing everywhere. *)
+    The {!Processes} and {!Sockets} backends are scheduled by {!Engine}
+    itself (they need specs, journals and supervision — see {!Worker});
+    this module only names them, so [--backend] means the same thing
+    everywhere. *)
 
 type backend =
   | Domains  (** Shared-memory OCaml 5 domains — one process. *)
   | Processes
-      (** Fork/exec'd worker processes, one journal segment each;
-          supervised by the parent, crash-tolerant under [--resume]. *)
+      (** Fork/exec'd worker processes, each on a private socketpair
+          speaking the framed worker protocol ({!Worker}); supervised by
+          the parent, crash-tolerant under [--resume]. *)
   | Sockets of string list
       (** Remote worker daemons ([fi-cli worker serve]) addressed as
-          ["HOST:PORT"] strings; jobs and journal-segment records cross
-          framed TCP connections ({!Remote}), the journal stays the only
-          shared state.  The list must be non-empty. *)
+          ["HOST:PORT"] strings; the same framed protocol crosses TCP
+          connections ({!Remote}), and the campaign journal stays the
+          only durable state.  The list must be non-empty. *)
 
 val backend_tag : backend -> string
 (** ["domains"] / ["processes"] / ["sockets"] — the CLI and

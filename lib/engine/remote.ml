@@ -7,83 +7,6 @@ let connect_timeout = ref 10.
 let handshake_timeout = ref 10.
 
 (* ------------------------------------------------------------------ *)
-(* The wire job                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Unlike the fork/exec worker's job, nothing here may capture code: the
-   peer is another machine, so [Spec.Build] closures cannot cross.  The
-   job is the Runcell-level cell description — the assembled program
-   image plus the policy fields that shape the shard plan — and the
-   worker re-derives everything else (golden run, fault-space classes,
-   fingerprint) on its own silicon, refusing on disagreement.  Marshal
-   without [Closures] is plain portable data; the handshake's binary
-   digest pins both ends to the same executable, which makes the
-   marshalling format (and the analysis) agree by construction. *)
-type wire_job = {
-  benchmark : string;
-  variant : string;
-  model : Faultspace.model;
-  limit : int option;
-  shard_size : int option;
-  weighted : bool;
-  stride : int option;
-      (* checkpoint stride — a pure perf knob the peer honours locally;
-         deliberately absent from the fingerprint it verifies. *)
-  program : Program.t;
-  fingerprint : int;
-  shard_ids : int array;
-  index : int;
-}
-
-let wire_magic = "fi-wire v1\n"
-
-let encode_job (job : wire_job) = wire_magic ^ Marshal.to_string job []
-
-let decode_job s =
-  let mlen = String.length wire_magic in
-  if String.length s <= mlen || String.sub s 0 mlen <> wire_magic then None
-  else
-    match (Marshal.from_string s mlen : wire_job) with
-    | job -> Some job
-    | exception _ -> None
-
-let wire_of_spec (spec : Spec.t) ~program ~fingerprint ~shard_ids ~index =
-  {
-    benchmark = spec.Spec.benchmark;
-    variant = spec.Spec.variant;
-    model = spec.Spec.model;
-    limit = spec.Spec.limit;
-    shard_size = spec.Spec.policy.Spec.sharding.Spec.shard_size;
-    weighted = spec.Spec.policy.Spec.sharding.Spec.weighted;
-    stride = spec.Spec.policy.Spec.acceleration.Spec.checkpoint_stride;
-    program;
-    fingerprint;
-    shard_ids;
-    index;
-  }
-
-(* Only the plan-shaping policy fields (plus the checkpoint stride, so
-   the peer accelerates the same way) cross the wire: journalling,
-   resume and supervision belong to the conducting parent. *)
-let spec_of_wire (job : wire_job) =
-  {
-    Spec.benchmark = job.benchmark;
-    variant = job.variant;
-    model = job.model;
-    source = Spec.Build (fun () -> job.program);
-    limit = job.limit;
-    policy =
-      Spec.make_policy ?shard_size:job.shard_size ~weighted:job.weighted
-        ?checkpoint_stride:job.stride ();
-  }
-
-let program_of_spec (spec : Spec.t) =
-  match spec.Spec.source with
-  | Spec.Analysed_memory g -> g.Golden.program
-  | Spec.Analysed_registers r -> r.Regspace.golden.Golden.program
-  | Spec.Build build -> build ()
-
-(* ------------------------------------------------------------------ *)
 (* Client side (the conducting engine)                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -137,8 +60,7 @@ let probe ?secret addr =
    shortens it when re-dialling a host that already failed once, so a
    dead host costs the supervision loop seconds, not two full default
    timeouts on every backoff round. *)
-let dispatch ?patience ?secret ~addr ~fingerprint ~program ~spec ~shard_ids
-    ~index () =
+let dispatch ?patience ?secret ~addr (job : Worker.wire_job) =
   let cap dflt =
     match patience with Some p -> Float.min p dflt | None -> dflt
   in
@@ -147,103 +69,24 @@ let dispatch ?patience ?secret ~addr ~fingerprint ~program ~spec ~shard_ids
         shake conn
           ~timeout:(cap !handshake_timeout)
           ?secret
-          ~fingerprint:(Crc32.to_hex fingerprint)
+          ~fingerprint:(Crc32.to_hex job.Worker.fingerprint)
       with
       | Error _ as e ->
           Transport.close conn;
           e
       | Ok _ ->
-          Transport.send conn Frame.Job
-            (encode_job
-               (wire_of_spec spec ~program ~fingerprint ~shard_ids ~index));
-          Ok { conn; addr; index; assigned = shard_ids })
+          Transport.send conn Frame.Job (Worker.encode_job job);
+          Ok
+            {
+              conn;
+              addr;
+              index = job.Worker.index;
+              assigned = job.Worker.shard_ids;
+            })
 
 (* ------------------------------------------------------------------ *)
 (* Worker side: conducting one connection                             *)
 (* ------------------------------------------------------------------ *)
-
-(* The net flavours of the crash-injection vocabulary (see
-   {!Worker.torture_var}): same modes, but [Torn] streams a CRC-invalid
-   record line instead of tearing a local segment file — the wire
-   equivalent of a mid-append crash. *)
-let net_die (torture : Worker.torture option) conn ~index ~completed =
-  match torture with
-  | Some t
-    when t.Worker.mode <> Worker.Poison
-         && (t.Worker.only = None || t.Worker.only = Some index)
-         && completed = t.Worker.after -> (
-      match t.Worker.mode with
-      | Worker.Poison -> ()
-      | Worker.Exit -> exit 7
-      | Worker.Raise -> failwith "torture: injected remote-worker fault"
-      | Worker.Sigkill -> Unix.kill (Unix.getpid ()) Sys.sigkill
-      | Worker.Torn ->
-          Transport.send conn Frame.Seg "deadbeef torn-rec";
-          Unix.kill (Unix.getpid ()) Sys.sigkill
-      | Worker.Hang ->
-          while true do
-            Unix.sleep 3600
-          done
-      | Worker.Stall ->
-          while true do
-            Transport.send conn Frame.Door "h";
-            Unix.sleepf 0.02
-          done)
-  | Some _ | None -> ()
-
-let net_poison (torture : Worker.torture option) ~index ~shard_id =
-  match torture with
-  | Some { Worker.mode = Worker.Poison; after; only }
-    when (only = None || only = Some index) && shard_id = after ->
-      Unix.kill (Unix.getpid ()) Sys.sigkill
-  | Some _ | None -> ()
-
-let conduct conn (job : wire_job) =
-  let spec = spec_of_wire job in
-  let cell = Runcell.analyse spec in
-  let classes = cell.Runcell.space.Faultspace.classes in
-  let plan = Runcell.plan_of_policy spec.Spec.policy classes in
-  let fp = Runcell.fingerprint_cell cell ~plan in
-  if fp <> job.fingerprint then
-    failwith
-      (Printf.sprintf
-         "re-analysed cell fingerprint %s disagrees with the conductor's %s \
-          (mismatched build or nondeterministic analysis?)"
-         (Crc32.to_hex fp)
-         (Crc32.to_hex job.fingerprint));
-  let shards_total = Array.length plan.Shard.shards in
-  Array.iter
-    (fun id ->
-      if id < 0 || id >= shards_total then
-        failwith (Printf.sprintf "shard id %d out of range" id))
-    job.shard_ids;
-  let torture = Worker.parse_torture (Sys.getenv_opt Worker.torture_var) in
-  Transport.send conn Frame.Seg
-    (Journal.encode_line
-       (Worker.segment_header ~fingerprint:fp ~pid:(Unix.getpid ())));
-  let last_beat = ref 0. in
-  let heartbeat ~class_index:_ _ =
-    let now = Unix.gettimeofday () in
-    if now -. !last_beat >= 0.01 then begin
-      last_beat := now;
-      Transport.send conn Frame.Door "h"
-    end
-  in
-  Array.iteri
-    (fun completed id ->
-      net_die torture conn ~index:job.index ~completed;
-      net_poison torture ~index:job.index ~shard_id:id;
-      let shard = plan.Shard.shards.(id) in
-      let buf =
-        Runcell.conduct_shard ~on_class:heartbeat cell ~plan shard
-      in
-      Transport.send conn Frame.Seg
-        (Journal.encode_line (Runcell.record_payload shard buf));
-      Transport.send conn Frame.Door (Printf.sprintf "s %d" id))
-    job.shard_ids;
-  net_die torture conn ~index:job.index
-    ~completed:(Array.length job.shard_ids);
-  Transport.send conn Frame.Door "end"
 
 let serve_connection ~capacity ?secret conn =
   match Transport.recv ~timeout:!handshake_timeout conn with
@@ -261,14 +104,7 @@ let serve_connection ~capacity ?secret conn =
       Transport.send conn Frame.Hello (Handshake.encode mine);
       match Transport.recv ~timeout:!handshake_timeout conn with
       | None -> () (* a probe: hello exchange only *)
-      | Some (Frame.Job, payload) -> (
-          match decode_job payload with
-          | None -> failwith "undecodable job payload"
-          | Some job -> conduct conn job)
-      | Some (kind, _) ->
-          failwith
-            (Printf.sprintf "expected a job frame, got %s"
-               (Frame.kind_tag kind)))
+      | Some frame -> Worker.conduct_frame conn frame)
   | Some (kind, _) ->
       failwith
         (Printf.sprintf "expected a hello frame, got %s" (Frame.kind_tag kind))
@@ -325,18 +161,8 @@ let serve ~listen ~workers ?secret ?(announce = fun _ -> ()) () =
         match Unix.fork () with
         | 0 ->
             Sysio.close_quietly lfd;
-            (try
-               serve_connection ~capacity:workers ?secret conn;
-               Transport.close conn;
-               exit 0
-             with exn ->
-               (try
-                  Transport.send conn Frame.Err (Printexc.to_string exn);
-                  Transport.close conn
-                with _ -> ());
-               Printf.eprintf "fi-net worker (pid %d): %s\n%!"
-                 (Unix.getpid ()) (Printexc.to_string exn);
-               exit 3)
+            Worker.exit_reporting conn (fun () ->
+                serve_connection ~capacity:workers ?secret conn)
         | _pid ->
             incr live;
             (* Close the parent's copy only — no shutdown, the child owns

@@ -1,27 +1,17 @@
-(** The distributed flavour of the campaign worker: remote daemons
-    reached over {!Transport} connections, the {!Pool.Sockets} backend's
-    other half.
+(** The TCP side of the campaign worker: remote daemons reached over
+    {!Transport} connections, the {!Pool.Sockets} backend's other half.
 
-    Where the fork/exec worker ({!Worker}) ships a marshalled closure
-    down a pipe, a remote job must cross machines, so nothing in it may
-    capture code: {!wire_job} is the Runcell-level cell description —
-    the assembled program image, the plan-shaping policy fields and the
-    campaign fingerprint — marshalled {e without} [Closures].  The
-    worker re-analyses the cell from scratch and refuses (an {!Frame.Err}
-    frame, then close) if its own fingerprint disagrees, so a campaign's
-    results stay bit-identical however its shards are placed.
-
-    Protocol, client → worker: [Hello] (version + binary digest +
-    campaign fingerprint), worker answers [Hello] (version + digest +
-    advertised capacity) or [Err]; then one [Job] frame.  Worker →
-    client while conducting: [Seg] frames each carrying one
-    journal-format line (the [fi-segment v1] header first, then one
-    CRC-guarded record per shard) and [Door] frames carrying the
-    doorbell lines ([h] / [s <id>] / [end]) — the same two streams the
-    pipe worker produces, re-framed, so the engine merges and supervises
-    both backends with the same machinery.  Teardown of the connection
+    A remote worker speaks exactly the protocol of a local one ({!Worker}:
+    one [Job] frame down, [Seg]/[Door]/[Err] frames up, the same
+    {!Worker.conduct_frame}), over a TCP connection instead of a socketpair.
+    The only additions are the ones a network needs: every connection
+    opens with a [Hello] exchange (protocol version + binary digest +
+    campaign fingerprint, optionally an HMAC tag) before the job, so
+    both ends provably run the same executable, and the daemon
+    advertises its capacity in its reply.  Teardown of the connection
     replaces [SIGKILL]: a worker whose socket dies stops mattering, and
-    its unfinished shards are requeued exactly as for a killed process.
+    its unfinished shards are requeued exactly as for a killed local
+    process.
 
     The daemon ([fi-cli worker serve], or any binary whose main calls
     {!guard}) forks one child per accepted connection, at most [workers]
@@ -38,50 +28,6 @@ val handshake_timeout : float ref
 (** Patience for connecting to and handshaking with a peer (seconds,
     default 10).  Mutable so the torture suite can make half-open-peer
     tests fast; production code leaves them alone. *)
-
-(** {1 Wire job} *)
-
-type wire_job = {
-  benchmark : string;
-  variant : string;
-  model : Faultspace.model;
-  limit : int option;
-  shard_size : int option;
-  weighted : bool;
-  stride : int option;
-      (** The conductor's checkpoint stride, honoured by the peer so both
-          ends accelerate identically.  A pure perf knob — not part of
-          the fingerprint the peer verifies (outcomes are bit-identical
-          at any stride). *)
-  program : Program.t;  (** The assembled image — plain data. *)
-  fingerprint : int;  (** Conductor's campaign fingerprint; verified. *)
-  shard_ids : int array;
-  index : int;  (** Spawn ordinal, for diagnostics and torture. *)
-}
-
-val encode_job : wire_job -> string
-(** Versioned wire format: a [fi-wire v1] magic then [Marshal] {e
-    without} [Closures] — sound because {!Handshake.check} already
-    pinned both ends to byte-identical binaries. *)
-
-val decode_job : string -> wire_job option
-
-val wire_of_spec :
-  Spec.t ->
-  program:Program.t ->
-  fingerprint:int ->
-  shard_ids:int array ->
-  index:int ->
-  wire_job
-
-val spec_of_wire : wire_job -> Spec.t
-(** Rebuild a [Spec.Build] spec around the shipped image.  Only the
-    plan-shaping policy fields cross the wire; journalling, resume and
-    supervision stay with the conducting parent. *)
-
-val program_of_spec : Spec.t -> Program.t
-(** Extract the program image a spec describes (building it if the
-    source is a thunk). *)
 
 (** {1 Client side (the conducting engine)} *)
 
@@ -113,29 +59,24 @@ val dispatch :
   ?patience:float ->
   ?secret:string ->
   addr:Addr.t ->
-  fingerprint:int ->
-  program:Program.t ->
-  spec:Spec.t ->
-  shard_ids:int array ->
-  index:int ->
-  unit ->
+  Worker.wire_job ->
   (client, string) result
-(** Connect, handshake, ship one job.  [Error] covers refusal, timeout
-    and connection failure — the engine turns it into a stillborn worker
-    and lets supervision retry.  [patience] caps the connect and
-    handshake timeouts (whichever is smaller wins): the engine shortens
-    re-dials to hosts that already failed once so a dead host cannot
-    stall the supervision loop for the full default timeouts on every
-    backoff round. *)
+(** Connect, handshake, send the job's [Job] frame.  [Error] covers
+    refusal, timeout and connection failure — the engine turns it into
+    a stillborn worker and lets supervision retry.  [patience] caps the
+    connect and handshake timeouts (whichever is smaller wins): the
+    engine shortens re-dials to hosts that already failed once so a
+    dead host cannot stall the supervision loop for the full default
+    timeouts on every backoff round. *)
 
 (** {1 Worker side} *)
 
 val serve_connection : capacity:int -> ?secret:string -> Transport.conn -> unit
 (** Conduct one connection: handshake (refusing on version, digest or
-    shared-secret mismatch), then at most one job.  Raises on protocol
-    violations and fingerprint disagreement — the daemon's
-    per-connection child turns that into an [Err] frame and exit
-    code 3. *)
+    shared-secret mismatch), then at most one job ({!Worker.conduct_frame}).
+    Raises on protocol violations and fingerprint disagreement — the
+    daemon's per-connection child turns that into an [Err] frame and
+    exit code 3 ({!Worker.exit_reporting}). *)
 
 val serve :
   listen:Addr.t ->

@@ -97,6 +97,11 @@ let plan_of_policy (policy : Spec.policy) classes =
    keeping their journals byte-identical to pre-subsystem runs — and
    "v3" for every model added by the Faultspace subsystem.  The field
    layout is identical either way; the [space=] value is the model tag. *)
+(* The legacy models keep the "v2" header, every other model writes
+   "v3".  Folding the two would save this one conditional but change
+   the header bytes of every mem/reg journal, and a cache hit requires
+   header equality, so every published result-store entry would stop
+   hitting.  The split stays. *)
 let header_payload { spec; space; _ } ~(plan : Shard.plan) ~fp =
   let model = spec.Spec.model in
   let golden = space.Faultspace.golden in
@@ -124,7 +129,7 @@ let header_shard_count header =
 
 let header_model_tag header =
   (* "... space=<tag> ..." of an engine campaign header — [None] for
-     anything that is not one (worker segments, foreign files). *)
+     anything that is not one (foreign files). *)
   if String.length header < 10 || String.sub header 0 10 <> "fi-engine " then
     None
   else

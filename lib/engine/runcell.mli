@@ -62,7 +62,7 @@ val parse_record : Shard.plan -> string -> (Shard.t * string) option
 
 val header_shard_count : string -> int option
 (** The [shards=N] token of a {!header_payload} ([None] for anything
-    else, e.g. a worker segment header). *)
+    else). *)
 
 val header_model_tag : string -> string option
 (** The [space=<tag>] token of a {!header_payload} — the fault model the

@@ -1,5 +1,6 @@
-(** Length-prefixed, CRC-framed messages — the socket transport's unit
-    of exchange.
+(** Length-prefixed, CRC-framed messages — the unit of exchange on every
+    campaign connection (a local worker's socketpair, a remote worker's
+    or service client's TCP socket).
 
     A frame is [kind (1 byte) · payload length (u32 BE) · CRC-32 of
     kind + payload (u32 BE) · payload].  The CRC extends the campaign
@@ -12,9 +13,12 @@
 
 type kind =
   | Hello  (** Handshake, both directions ({!Handshake}). *)
-  | Job  (** One campaign job, client → worker ({!Remote} wire format). *)
+  | Job  (** One campaign job, client → worker ([Worker.wire_job]). *)
   | Door  (** Doorbell line, worker → client: [h], [s <id>], [end]. *)
-  | Seg  (** One journal-segment line (CRC-hex + payload), worker → client. *)
+  | Seg
+      (** One shard record as a CRC-guarded journal line (CRC-hex +
+          payload), worker → client; the parent merges it into the
+          campaign journal. *)
   | Err  (** Human-readable refusal/failure, either direction, then close. *)
   | Submit  (** One campaign/matrix submission, client → service ({!Service}). *)
   | Stat  (** Service status line, service → client. *)

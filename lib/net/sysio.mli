@@ -19,10 +19,6 @@ val write_all : Unix.file_descr -> string -> int -> int -> unit
 val write_string : Unix.file_descr -> string -> unit
 (** [write_all fd s 0 (String.length s)]. *)
 
-val read_once : Unix.file_descr -> bytes -> int -> int -> int
-(** One blocking [read], retrying [EINTR] only; returns the byte count
-    ([0] at EOF). *)
-
 val read_avail : Unix.file_descr -> bytes -> [ `Eof | `Data of int | `Nothing ]
 (** One read of whatever is available: [`Data n] bytes at the front of
     [buf], [`Nothing] on [EINTR]/[EAGAIN]/[EWOULDBLOCK] (nothing yet —

@@ -8,7 +8,7 @@ let handshake_timeout = ref 10.
 (* Wire formats                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Like {!Remote.wire_job}, a submission carries cell DESCRIPTIONS —
+(* Like {!Worker.wire_job}, a submission carries cell DESCRIPTIONS —
    assembled images plus plan-shaping policy fields — never closures.
    Marshal without [Closures] is sound because the handshake's binary
    digest already pinned both ends to the same executable. *)
@@ -65,7 +65,7 @@ let cell_of_spec (spec : Spec.t) =
     c_limit = spec.Spec.limit;
     c_shard_size = spec.Spec.policy.Spec.sharding.Spec.shard_size;
     c_weighted = spec.Spec.policy.Spec.sharding.Spec.weighted;
-    c_program = Remote.program_of_spec spec;
+    c_program = Worker.program_of_spec spec;
   }
 
 (* The daemon-side spec: the service's own policy (journalling into its

@@ -21,10 +21,7 @@ let check_scans_identical msg serial parallel =
 let with_temp_file f =
   let path = Filename.temp_file "fiprocess" ".journal" in
   Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        (path :: List.init 32 (Printf.sprintf "%s.seg%d" path)))
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
 let read_file path =
@@ -329,6 +326,20 @@ let test_worker_crash_and_resume () =
       in
       check_scans_identical "crash + resume = serial" serial resumed)
 
+(* A raising local worker's exception travels back in its [Err] frame,
+   so the failure names the cause, not just the exit code. *)
+let test_worker_failure_text () =
+  match
+    with_torture "raise:0" (fun () ->
+        Engine.scan_exn
+          (Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+             (Spec.of_golden (Lazy.force hi_golden))))
+  with
+  | _ -> Alcotest.fail "expected Worker_failed"
+  | exception Engine.Worker_failed msg ->
+      if not (Astring_contains.contains msg "torture: injected") then
+        Alcotest.failf "failure text lost the worker's exception: %s" msg
+
 let suite =
   ( "process-backend",
     [
@@ -351,4 +362,6 @@ let suite =
         test_resume_rejects_duplicate_record;
       Alcotest.test_case "worker crash + resume" `Quick
         test_worker_crash_and_resume;
+      Alcotest.test_case "worker failure text reaches the caller" `Quick
+        test_worker_failure_text;
     ] )

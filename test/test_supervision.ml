@@ -21,10 +21,7 @@ let check_scans_identical msg serial parallel =
 let with_temp_file f =
   let path = Filename.temp_file "fisup" ".journal" in
   Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        (path :: List.init 32 (Printf.sprintf "%s.seg%d" path)))
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
 let read_file path =

@@ -1,13 +1,13 @@
 (* Worker-crash torture tests for the process and sockets backends —
    the slow, adversarial matrix kept out of @tier1 and run by
    `dune build @torture` (see DESIGN.md §7): every crash mode (clean
-   nonzero exit, uncaught exception, SIGKILL between shards, SIGKILL
-   mid-append, hang, stall, poisoned shard) injected into journaled
-   campaigns, on fixed fixtures and on qcheck-random programs, asserting
-   the same properties — the parent reports the death, the campaign
-   journal stays CRC-valid, and either supervision heals the campaign in
-   place (bit-identical to the serial scan, no manual --resume) or a
-   --resume run completes bit-identically.  The same matrix then runs
+   nonzero exit, uncaught exception, SIGKILL between shards, a corrupt
+   record line then SIGKILL, hang, stall, poisoned shard) injected into
+   journaled campaigns, on fixed fixtures and on qcheck-random programs,
+   asserting the same properties — the parent reports the death, the
+   campaign journal stays CRC-valid, and either supervision heals the
+   campaign in place (bit-identical to the serial scan, no manual
+   --resume) or a --resume run completes bit-identically.  The same matrix then runs
    over TCP (loopback daemons, DESIGN.md §11): crash modes injected into
    remote conducting workers, half-open peers, and a whole fleet
    SIGKILLed mid-campaign with --resume healing the journal.
@@ -37,10 +37,7 @@ let check_scans_identical msg serial parallel =
 let with_temp_file f =
   let path = Filename.temp_file "fitorture" ".journal" in
   Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        (path :: List.init 32 (Printf.sprintf "%s.seg%d" path)))
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
 let with_torture value f =
@@ -99,8 +96,8 @@ let crash_round_trip mode =
             (String.length msg > 0
             && String.starts_with ~prefix:"flag1" msg));
       (* The campaign journal holds the shards completed before the
-         crash — CRC-valid to the last byte (only worker segments may be
-         torn, and their torn tails are never merged). *)
+         crash — CRC-valid to the last byte (a worker's corrupt record
+         line is never merged). *)
       (match Journal.replay path with
       | Some (_, records, Journal.Clean) ->
           Alcotest.(check bool)
@@ -813,8 +810,8 @@ let () =
       ( false,
         Alcotest.test_case "crash: sigkill between shards" `Slow
           test_crash_sigkill );
-      ( false,
-        Alcotest.test_case "crash: sigkill mid-append (torn segment)" `Slow
+      ( true,
+        Alcotest.test_case "crash: corrupt record line then death" `Slow
           test_crash_torn );
       ( false,
         Alcotest.test_case "crash: killed before any shard" `Slow
