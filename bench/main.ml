@@ -273,8 +273,8 @@ let plan_scan (cell : Faultspace.cell) =
 
 (* Print a plan scan's exit-path counters.  Returns [false] unless they
    account for every experiment of [scan]: the runs sum to its
-   experiments, and its Timeouts are exactly the proven plus the
-   watchdog-bound runs. *)
+   experiments, and its Timeouts are exactly the proven, the
+   watchdog-bound and the memo-spliced Timeout runs. *)
 let print_exit_paths label (scan : Scan.t) (st : Injector.session_stats) =
   let paths = Injector.exit_paths st in
   Printf.printf "%s exit paths   :       runs        cycles  cycles/run\n"
@@ -286,6 +286,7 @@ let print_exit_paths label (scan : Scan.t) (st : Injector.session_stats) =
     paths;
   Printf.printf "  %-24s: %10d failed %d (%d cycles)\n" "proof attempts"
     st.proof_attempts st.failed_proofs st.failed_proof_cycles;
+  Printf.printf "  %-24s: %10d\n" "memo-splice timeouts" st.memo_timeouts;
   let runs =
     List.fold_left (fun n (_, (p : Injector.path_stats)) -> n + p.runs) 0 paths
   in
@@ -296,15 +297,15 @@ let print_exit_paths label (scan : Scan.t) (st : Injector.session_stats) =
   in
   let ok =
     runs = Array.length scan.Scan.experiments
-    && timeouts = st.loop_proof.runs + st.watchdog.runs
+    && timeouts = st.loop_proof.runs + st.watchdog.runs + st.memo_timeouts
   in
   if not ok then
     Printf.eprintf
       "engine-checkpoint: %s exit-path counters do not account for the \
        campaign (%d runs for %d experiments; %d timeouts vs %d proven + %d \
-       watchdog)\n"
+       watchdog + %d memo-spliced)\n"
       label runs (Array.length scan.Scan.experiments) timeouts
-      st.loop_proof.runs st.watchdog.runs;
+      st.loop_proof.runs st.watchdog.runs st.memo_timeouts;
   ok
 
 let run_engine_checkpoint () =

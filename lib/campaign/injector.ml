@@ -33,6 +33,28 @@ type plan = {
   shift_index : (int, int) Hashtbl.t;
       (* golden {!Machine.state_hash} at every cycle -> that cycle, for
          guessing the offset of cycle-shifted re-convergence *)
+  memo : memo; (* exact states earlier runs reached, with their outcomes *)
+}
+
+(* The memo of one plan provider, shared by all of its sessions (and
+   so by every domain conducting on it), guarded by [lock].  It maps
+   exact state keys ({!Machine.state_key} against the rung the run was
+   keyed at) to the outcome of a run that reached that state.  Keys
+   live off the OCaml heap — a heap table costs its GC slack on top of
+   its data — in at most [memo_generations] generations of
+   [memo_gen_bytes] each.  When the newest is full, the oldest is
+   emptied and becomes the newest, so the memo's memory is bounded and
+   recent keys survive.  Generations are allocated on first use. *)
+and memo = { lock : Mutex.t; mutable gens : gen list (* newest first *) }
+
+and gen = {
+  arena :
+    (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t;
+      (* entries: outcome index, 2-byte key length, key bytes *)
+  index : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
+      (* open addressing: 0 empty, else [tag lsl off_bits lor (entry + 1)] *)
+  mutable used : int; (* arena bytes *)
+  mutable entries : int;
 }
 
 (* Walk one location's chronological access list ([(cycle, is_read)],
@@ -126,7 +148,130 @@ let build_plan golden ~stride =
     ram_live = Array.map Array.of_list live_lists;
     reg_mask;
     shift_index = shift_index golden;
+    memo = { lock = Mutex.create (); gens = [] };
   }
+
+(* ------------------------------------------------------------------ *)
+(* The memo                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A run keys its state at every [memo_every]-th ladder rung where the
+   live-masked convergence check failed — keying costs a pass over
+   RAM, so not at every rung.  Keys longer than [memo_key_max] bytes
+   (widely divergent states, rarely met twice) are not kept. *)
+let memo_every = 16
+let memo_key_max = 1024
+
+(* Four generations of 256 KiB of keys plus a 64 KiB index each: at
+   most 1.25 MiB per provider.  Serial scans of the four paper cells
+   took 539.9 M cycles with it, against 564.2 M with one 1 MiB table
+   cleared when full; eight generations of 128 KiB gained nothing. *)
+let memo_generations = 4
+let memo_gen_bytes = 1 lsl 18
+let memo_slots = memo_gen_bytes / 32 (* a power of two *)
+let off_bits = 22 (* entry offsets + 1 fit: [memo_gen_bytes < 1 lsl 22] *)
+let tag_mask = (1 lsl 40) - 1
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+let rec hash_from buf i e h =
+  if i + 8 <= e then
+    hash_from buf (i + 8) e
+      ((h lxor Int64.to_int (get64u buf i)) * 0x100000001b3)
+  else if i < e then
+    hash_from buf (i + 1) e
+      ((h lxor Char.code (Bytes.unsafe_get buf i)) * 0x100000001b3)
+  else
+    let h = h * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+
+let key_hash buf off len = hash_from buf off (off + len) (len + 0xcbf29ce484222)
+
+let gen_create () =
+  let open Bigarray in
+  let index = Array1.create int c_layout memo_slots in
+  Array1.fill index 0;
+  {
+    arena = Array1.create int8_unsigned c_layout memo_gen_bytes;
+    index;
+    used = 0;
+    entries = 0;
+  }
+
+let gen_clear g =
+  Bigarray.Array1.fill g.index 0;
+  g.used <- 0;
+  g.entries <- 0
+
+let rec entry_matches arena e buf off len i =
+  i >= len
+  || Bigarray.Array1.unsafe_get arena (e + 3 + i)
+     = Char.code (Bytes.unsafe_get buf (off + i))
+     && entry_matches arena e buf off len (i + 1)
+
+(* The outcome index stored under the key [buf.[off, off+len)] with
+   hash [h] in [g], or [-1]. *)
+let rec gen_find g h buf off len slot =
+  let v = Bigarray.Array1.unsafe_get g.index slot in
+  if v = 0 then -1
+  else
+    let e = (v land ((1 lsl off_bits) - 1)) - 1 in
+    let a = g.arena in
+    if
+      v lsr off_bits = (h lsr 20) land tag_mask
+      && Bigarray.Array1.unsafe_get a (e + 1)
+         lor (Bigarray.Array1.unsafe_get a (e + 2) lsl 8)
+         = len
+      && entry_matches a e buf off len 0
+    then Bigarray.Array1.unsafe_get a e
+    else gen_find g h buf off len ((slot + 1) land (memo_slots - 1))
+
+let rec memo_find gens h buf off len =
+  match gens with
+  | [] -> -1
+  | g :: older ->
+      let o = gen_find g h buf off len (h land (memo_slots - 1)) in
+      if o >= 0 then o else memo_find older h buf off len
+
+let gen_full g len =
+  g.used + 3 + len > memo_gen_bytes || 4 * g.entries >= 3 * memo_slots
+
+(* The generation to add a [len]-byte key to, retiring the oldest
+   generation when the newest is full.  Under the lock. *)
+let memo_room memo len =
+  match memo.gens with
+  | g :: _ when not (gen_full g len) -> g
+  | gens ->
+      let g =
+        if List.length gens < memo_generations then gen_create ()
+        else begin
+          let oldest = List.nth gens (memo_generations - 1) in
+          gen_clear oldest;
+          oldest
+        end
+      in
+      memo.gens <- g :: List.filteri (fun i _ -> i < memo_generations - 1) gens;
+      g
+
+let rec gen_place index v slot =
+  if Bigarray.Array1.unsafe_get index slot = 0 then
+    Bigarray.Array1.unsafe_set index slot v
+  else gen_place index v ((slot + 1) land (memo_slots - 1))
+
+let gen_add g h buf off len outcome =
+  let a = g.arena and e = g.used in
+  Bigarray.Array1.unsafe_set a e outcome;
+  Bigarray.Array1.unsafe_set a (e + 1) (len land 0xFF);
+  Bigarray.Array1.unsafe_set a (e + 2) (len lsr 8);
+  for i = 0 to len - 1 do
+    Bigarray.Array1.unsafe_set a (e + 3 + i)
+      (Char.code (Bytes.unsafe_get buf (off + i)))
+  done;
+  g.used <- e + 3 + len;
+  g.entries <- g.entries + 1;
+  gen_place g.index
+    ((((h lsr 20) land tag_mask) lsl off_bits) lor (e + 1))
+    (h land (memo_slots - 1))
 
 (* Outcome of a run that provably re-converged with the golden
    execution at ladder checkpoint [snap], at its own or a shifted
@@ -170,6 +315,7 @@ type exit_path =
   | Shifted_splice
   | Loop_proof
   | Watchdog
+  | Memo_splice
 
 let path_slot = function
   | Natural_stop -> 0
@@ -177,9 +323,13 @@ let path_slot = function
   | Shifted_splice -> 2
   | Loop_proof -> 3
   | Watchdog -> 4
+  | Memo_splice -> 5
 
 let all_paths =
-  [ Natural_stop; Ladder_splice; Shifted_splice; Loop_proof; Watchdog ]
+  [
+    Natural_stop; Ladder_splice; Shifted_splice; Loop_proof; Watchdog;
+    Memo_splice;
+  ]
 
 type session = {
   provider : provider;
@@ -189,6 +339,10 @@ type session = {
   exits : int array; (* per exit path slot: runs at 2i, cycles at 2i+1 *)
   mutable failed_proofs : int;
   mutable failed_proof_cycles : int;
+  mutable memo_timeouts : int; (* memo-splice runs that timed out *)
+  key : Bytes.t; (* the state key under construction *)
+  mutable pending : Bytes.t; (* this run's keys: 2-byte length, bytes *)
+  mutable pending_len : int;
 }
 
 (* Count one finished run: [cycles] simulated after the fault. *)
@@ -196,7 +350,54 @@ let exit_run s path ~cycles outcome =
   let i = 2 * path_slot path in
   s.exits.(i) <- s.exits.(i) + 1;
   s.exits.(i + 1) <- s.exits.(i + 1) + cycles;
+  if path = Memo_splice && outcome = Outcome.Timeout then
+    s.memo_timeouts <- s.memo_timeouts + 1;
   outcome
+
+(* Key the run's state at rung [snap].  A key an earlier run published
+   yields its outcome index; otherwise the key joins the run's pending
+   keys and the result is [-1]. *)
+let memo_consult s memo snap golden machine =
+  let len =
+    Machine.state_key machine snap ~golden_output:golden.Golden.output s.key
+  in
+  if len < 0 then -1
+  else begin
+    let h = key_hash s.key 0 len in
+    Mutex.lock memo.lock;
+    let o = memo_find memo.gens h s.key 0 len in
+    Mutex.unlock memo.lock;
+    if o < 0 then begin
+      let need = s.pending_len + 2 + len in
+      if need > Bytes.length s.pending then begin
+        let p = Bytes.create (max need (2 * Bytes.length s.pending)) in
+        Bytes.blit s.pending 0 p 0 s.pending_len;
+        s.pending <- p
+      end;
+      Bytes.set_uint16_le s.pending s.pending_len len;
+      Bytes.blit s.key 0 s.pending (s.pending_len + 2) len;
+      s.pending_len <- need
+    end;
+    o
+  end
+
+let rec publish_from memo pending ~until off o =
+  if off < until then begin
+    let len = Bytes.get_uint16_le pending off in
+    let h = key_hash pending (off + 2) len in
+    gen_add (memo_room memo len) h pending (off + 2) len o;
+    publish_from memo pending ~until (off + 2 + len) o
+  end
+
+(* Publish the run's pending keys under its [outcome]: every state the
+   run keyed leads to it. *)
+let memo_publish s memo outcome =
+  if s.pending_len > 0 then begin
+    Mutex.lock memo.lock;
+    publish_from memo s.pending ~until:s.pending_len 0 (Outcome.index outcome);
+    Mutex.unlock memo.lock;
+    s.pending_len <- 0
+  end
 
 (* A run that outlives the whole golden ladder can never converge any
    more — it is either going to stop on its own or spin to the
@@ -216,7 +417,9 @@ let probe_miss_arm = 6
 
 let finish_planned s plan golden machine ~c0 =
   let limit = Golden.timeout_limit golden in
+  s.pending_len <- 0;
   let finish path outcome =
+    memo_publish s plan.memo outcome;
     exit_run s path ~cycles:(Machine.cycle machine - c0) outcome
   in
   let nl = Array.length plan.ladder in
@@ -307,32 +510,43 @@ let finish_planned s plan golden machine ~c0 =
               finish Ladder_splice
                 (spliced_outcome golden machine plan.ladder.(i))
             else begin
-              (* Missed.  Maybe the run re-converged with a cycle
-                 shift: a golden state-hash hit at another cycle names
-                 the candidate offset, and the rendezvous tests above
-                 verify or refute it soundly at shifted boundaries. *)
-              (match
-                 Hashtbl.find_opt plan.shift_index
-                   (Machine.state_hash machine)
-               with
-              | Some g when g <> cyc ->
-                  let d = cyc - g in
-                  if d <> !delta || !dj >= nl then begin
-                    dfail := 0;
-                    delta := d;
-                    (* First ladder entry whose shifted cycle is ahead. *)
-                    let rec search lo hi =
-                      if lo >= hi then lo
-                      else
-                        let mid = (lo + hi) / 2 in
-                        if plan.ladder_cycles.(mid) + d <= cyc then
-                          search (mid + 1) hi
-                        else search lo mid
-                    in
-                    dj := search 0 nl
-                  end
-              | Some _ | None -> incr misses);
-              go (i + 1)
+              (* Missed.  A state an earlier run reached at this rung
+                 has that run's outcome (keyed every [memo_every]-th
+                 rung). *)
+              let hit =
+                if i mod memo_every = 0 then
+                  memo_consult s plan.memo plan.ladder.(i) golden machine
+                else -1
+              in
+              if hit >= 0 then finish Memo_splice (Outcome.of_index hit)
+              else begin
+                (* Maybe the run re-converged with a cycle
+                   shift: a golden state-hash hit at another cycle names
+                   the candidate offset, and the rendezvous tests above
+                   verify or refute it soundly at shifted boundaries. *)
+                (match
+                   Hashtbl.find_opt plan.shift_index
+                     (Machine.state_hash machine)
+                 with
+                | Some g when g <> cyc ->
+                    let d = cyc - g in
+                    if d <> !delta || !dj >= nl then begin
+                      dfail := 0;
+                      delta := d;
+                      (* First ladder entry whose shifted cycle is ahead. *)
+                      let rec search lo hi =
+                        if lo >= hi then lo
+                        else
+                          let mid = (lo + hi) / 2 in
+                          if plan.ladder_cycles.(mid) + d <= cyc then
+                            search (mid + 1) hi
+                          else search lo mid
+                      in
+                      dj := search 0 nl
+                    end
+                | Some _ | None -> incr misses);
+                go (i + 1)
+              end
             end
           else if cyc >= limit then
             finish Watchdog (timeout_outcome golden machine)
@@ -361,6 +575,10 @@ let session provider =
     exits = Array.make (2 * List.length all_paths) 0;
     failed_proofs = 0;
     failed_proof_cycles = 0;
+    memo_timeouts = 0;
+    key = Bytes.create memo_key_max;
+    pending = Bytes.create 4096;
+    pending_len = 0;
   }
 
 type path_stats = { runs : int; cycles : int }
@@ -371,6 +589,8 @@ type session_stats = {
   shifted_splice : path_stats;
   loop_proof : path_stats;
   watchdog : path_stats;
+  memo_splice : path_stats;
+  memo_timeouts : int;
   proof_attempts : int;
   failed_proofs : int;
   failed_proof_cycles : int;
@@ -388,6 +608,8 @@ let session_stats (s : session) =
     shifted_splice = path Shifted_splice;
     loop_proof;
     watchdog = path Watchdog;
+    memo_splice = path Memo_splice;
+    memo_timeouts = s.memo_timeouts;
     (* every attempt either proves its run or fails *)
     proof_attempts = loop_proof.runs + s.failed_proofs;
     failed_proofs = s.failed_proofs;
@@ -401,6 +623,7 @@ let exit_paths st =
     ("shifted splice", st.shifted_splice);
     ("loop proof", st.loop_proof);
     ("watchdog", st.watchdog);
+    ("memo splice", st.memo_splice);
   ]
 
 (* Rolling [hop_min] cycles costs about as much as one checkpoint

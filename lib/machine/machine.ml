@@ -43,6 +43,7 @@ type t = {
   serial_pre_len : int; (* live bytes of [serial_pre] *)
   serial : Buffer.t; (* bytes emitted past the shared prefix *)
   mutable events : (int * int32) list; (* reversed *)
+  mutable nevents : int; (* [List.length events] *)
   mutable stop : stop_reason option;
   mutable hunt : hunt option;
   tracer : tracer option;
@@ -82,29 +83,27 @@ let serial_output m =
 
 let serial_length m = m.serial_pre_len + Buffer.length m.serial
 
+let rec chars_agree s prefix i e =
+  i >= e
+  || Char.equal (String.unsafe_get s i) (String.unsafe_get prefix i)
+     && chars_agree s prefix (i + 1) e
+
+let rec buffer_agrees b prefix ~off i e =
+  i >= e
+  || Char.equal (Buffer.nth b i) (String.unsafe_get prefix (off + i))
+     && buffer_agrees b prefix ~off (i + 1) e
+
 let serial_agrees m ~prefix ~len =
   serial_length m = len
   && String.length prefix >= len
-  &&
-  if m.serial_pre == prefix then begin
-    (* Shared prefix: only the buffered tail needs comparing. *)
-    let tail = Buffer.length m.serial in
-    let off = m.serial_pre_len in
-    let rec go i =
-      i >= tail
-      || Char.equal (Buffer.nth m.serial i) (String.unsafe_get prefix (off + i))
-         && go (i + 1)
-    in
-    go 0
-  end
-  else begin
-    let s = serial_output m in
-    if String.length prefix = len then String.equal s prefix
-    else String.equal s (String.sub prefix 0 len)
-  end
+  (* the shared prefix, unless physically [prefix], then the tail *)
+  && (m.serial_pre == prefix
+     || chars_agree m.serial_pre prefix 0 m.serial_pre_len)
+  && buffer_agrees m.serial prefix ~off:m.serial_pre_len 0
+       (Buffer.length m.serial)
 
 let detection_events m = List.rev m.events
-let event_count m = List.length m.events
+let event_count m = m.nevents
 
 let mask32 = 0xFFFFFFFF
 let to_u32 v = v land mask32
@@ -187,8 +186,10 @@ let load_word m addr =
 let mmio_store m addr value =
   if addr = Memmap.serial_port then
     Buffer.add_char m.serial (Char.chr (value land 0xFF))
-  else if addr = Memmap.detect_port then
-    m.events <- (m.cyc, Int32.of_int (signed value)) :: m.events
+  else if addr = Memmap.detect_port then begin
+    m.events <- (m.cyc, Int32.of_int (signed value)) :: m.events;
+    m.nevents <- m.nevents + 1
+  end
   else if addr = Memmap.panic_port then
     raise (Stop (Panicked (Int32.of_int (signed value))))
   else () (* other MMIO slots: ignored *)
@@ -549,6 +550,7 @@ let create ?tracer ?exec_tracer prog =
     serial_pre_len = 0;
     serial = Buffer.create 64;
     events = [];
+    nevents = 0;
     stop = None;
     hunt = None;
     tracer;
@@ -735,7 +737,7 @@ module Snapshot = struct
       s_serial_pre_len = m.serial_pre_len;
       s_serial_tail = Buffer.contents m.serial;
       s_events = m.events;
-      s_event_count = List.length m.events;
+      s_event_count = m.nevents;
       s_stop = m.stop;
     }
 
@@ -755,6 +757,7 @@ module Snapshot = struct
       serial_pre_len = s.s_serial_pre_len;
       serial;
       events = s.s_events;
+      nevents = s.s_event_count;
       stop = s.s_stop;
       hunt = None;
       tracer;
@@ -785,7 +788,7 @@ let run_checkpointed m ~stride ~limit =
               m.cyc,
               serial_length m,
               m.events,
-              List.length m.events )
+              m.nevents )
             :: !marks;
           go ()
     end
@@ -852,3 +855,85 @@ let converges_with m (s : Snapshot.t) ~ram_live ~reg_mask =
 
 let rendezvous_with m (s : Snapshot.t) ~ram_live ~reg_mask =
   state_agrees m s ~ram_live ~reg_mask
+
+(* ------------------------------------------------------------------ *)
+(* Exact state keys                                                   *)
+(* ------------------------------------------------------------------ *)
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* LEB128: [v >= 0] in 7-bit groups, low group first. *)
+let rec put_varint buf pos v =
+  if v < 0x80 then begin
+    Bytes.unsafe_set buf pos (Char.unsafe_chr v);
+    pos + 1
+  end
+  else begin
+    Bytes.unsafe_set buf pos (Char.unsafe_chr (v land 0x7F lor 0x80));
+    put_varint buf (pos + 1) (v lsr 7)
+  end
+
+(* Append to [buf] at [pos] one record per maximal run of RAM bytes,
+   from byte [i] on, on which [ram] and [sram] differ; [prev] is where
+   the last run ended.  The new end, or [-1] past [Bytes.length buf]. *)
+let rec ram_runs ram sram buf i prev pos =
+  let n = Bytes.length ram in
+  if i >= n then pos
+  else if i + 8 <= n && get64u ram i = get64u sram i then
+    ram_runs ram sram buf (i + 8) prev pos
+  else if Bytes.unsafe_get ram i = Bytes.unsafe_get sram i then
+    ram_runs ram sram buf (i + 1) prev pos
+  else begin
+    let e = ref (i + 1) in
+    while !e < n && Bytes.unsafe_get ram !e <> Bytes.unsafe_get sram !e do
+      incr e
+    done;
+    let len = !e - i in
+    if pos + 20 + len > Bytes.length buf then -1
+    else begin
+      let pos =
+        put_varint buf pos (((i - prev) lsl 1) lor Bool.to_int (len = 1))
+      in
+      let pos = if len = 1 then pos else put_varint buf pos len in
+      Bytes.blit ram i buf pos len;
+      ram_runs ram sram buf !e !e (pos + len)
+    end
+  end
+
+(* Layout: varints cycle, pc, serial length, [2 * events + agrees];
+   a 2-byte mask of the registers that differ from the snapshot, then
+   for each (ascending) a varint of its value xor the snapshot's; then
+   one record per maximal run of RAM bytes that differ — a varint of
+   twice the gap from the previous run's end, plus one for a one-byte
+   run; for longer runs a varint of the length; the run's bytes.
+   Every field's extent follows from what precedes it, so equal keys
+   against one snapshot mean equal states.  The header takes at most
+   [key_header_max] bytes: four 9-byte varints, the mask, and fifteen
+   5-byte varints. *)
+let key_header_max = 113
+
+let state_key m (s : Snapshot.t) ~golden_output buf =
+  if Bytes.length buf < key_header_max then -1
+  else
+    let agrees =
+      serial_agrees m ~prefix:golden_output ~len:(serial_length m)
+    in
+    let pos = put_varint buf 0 m.cyc in
+    let pos = put_varint buf pos m.pc in
+    let pos = put_varint buf pos (serial_length m) in
+    let pos = put_varint buf pos ((2 * m.nevents) + Bool.to_int agrees) in
+    let regs = m.regs and sregs = s.Snapshot.s_regs in
+    let mask = ref 0 in
+    for r = 1 to 15 do
+      if Array.unsafe_get regs r <> Array.unsafe_get sregs r then
+        mask := !mask lor (1 lsl r)
+    done;
+    Bytes.set_uint16_le buf pos !mask;
+    let pos = ref (pos + 2) in
+    for r = 1 to 15 do
+      if !mask land (1 lsl r) <> 0 then
+        pos :=
+          put_varint buf !pos
+            (Array.unsafe_get regs r lxor Array.unsafe_get sregs r)
+    done;
+    ram_runs m.ram s.Snapshot.s_ram buf 0 0 !pos

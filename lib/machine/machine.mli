@@ -244,3 +244,19 @@ val pc_recurrence : t -> int option
     run: the current [pc] was last visited [d] cycles ago ([d] is a
     loop-period candidate, possibly a multiple or fraction of the true
     period).  [None] for unarmed machines. *)
+
+val state_key : t -> Snapshot.t -> golden_output:string -> Bytes.t -> int
+(** [state_key m snap ~golden_output buf] writes into [buf] an exact key
+    of running machine [m]'s state relative to [snap], and returns its
+    length — or [-1] if the key does not fit in [buf] (the caller then
+    has no key for this state).  The key holds the cycle count, the pc,
+    every register and RAM byte on which [m] differs from [snap] (with
+    [m]'s values), the serial length, whether the serial output so far
+    is a prefix of [golden_output] (see {!serial_agrees}), and the
+    detection-event count.  Two running machines of one program whose
+    keys against the same snapshot are byte-equal therefore agree on
+    cycle, pc, registers and RAM — everything their futures depend on,
+    since MMIO loads read 0 and ROM is immutable — and on the part of
+    their pasts an outcome classification against [golden_output] reads:
+    whether the output so far is a golden prefix, its length, and the
+    event count.  Allocates nothing; costs one pass over RAM. *)

@@ -173,7 +173,7 @@ let total_cycles st =
     0 (Injector.exit_paths st)
 
 (* Every run ends on exactly one path, and the Timeouts are exactly the
-   proven and the watchdog-bound runs. *)
+   proven, the watchdog-bound and the memo-spliced Timeout runs. *)
 let check_accounting msg outcomes (st : Injector.session_stats) =
   let runs =
     List.fold_left
@@ -184,9 +184,13 @@ let check_accounting msg outcomes (st : Injector.session_stats) =
     (msg ^ ": runs = experiments")
     (Array.length outcomes) runs;
   Alcotest.(check int)
-    (msg ^ ": timeouts = loop proof + watchdog")
+    (msg ^ ": timeouts = loop proof + watchdog + memo-splice timeouts")
     (count Outcome.Timeout outcomes)
-    (st.loop_proof.runs + st.watchdog.runs);
+    (st.loop_proof.runs + st.watchdog.runs + st.memo_timeouts);
+  Alcotest.(check bool)
+    (msg ^ ": memo-splice timeouts within the memo-splice runs")
+    true
+    (st.memo_timeouts >= 0 && st.memo_timeouts <= st.memo_splice.runs);
   Alcotest.(check bool)
     (msg ^ ": failed-proof cycles within the runs' cycles")
     true
@@ -248,6 +252,43 @@ let test_sync2_timeout_paths () =
   Alcotest.(check bool) "watchdog exercised" true (st.watchdog.runs > 0);
   Alcotest.(check bool) "failed proofs exercised" true (st.failed_proofs > 0)
 
+(* The memo splice against replay on the kernel it pays most on:
+   every k-th class of sync2/sum+dmr in t_end order, a few thousand
+   experiments.  Later classes of a byte re-reach the states earlier
+   ones reached after SUM+DMR laundered the flip, so runs must end on
+   the memo path — some of them with an earlier run's Timeout, which
+   the accounting identity has to count. *)
+let test_sync2_memo_splices () =
+  let golden = Golden.run (Sync2.sum_dmr ()) in
+  let sample = every_kth (Defuse.experiment_classes golden.Golden.defuse) 800 in
+  let reference, _ = scan_with_stats (Injector.replay golden) sample in
+  let outcomes, st = scan_with_stats (Injector.plan golden) sample in
+  Alcotest.(check bool) "plan = replay" true (outcomes = reference);
+  check_accounting "sync2/sum+dmr" outcomes st;
+  Alcotest.(check bool) "a few thousand experiments" true
+    (Array.length outcomes >= 2000);
+  Alcotest.(check bool) "memo splices exercised" true (st.memo_splice.runs > 0);
+  Alcotest.(check bool) "memo-spliced Timeouts exercised" true
+    (st.memo_timeouts > 0)
+
+(* The memo is shared by every session of a provider, so on the
+   domains backend shards running side by side publish to and splice
+   from one table under its lock.  mbox1/baseline ends about a sixth
+   of its runs on the memo path in a serial scan; the engine at -j 2
+   with small shards must still equal restart-from-reset exactly. *)
+let test_memo_shared_across_domains () =
+  let golden = Golden.run (Mbox1.baseline ()) in
+  let cell = Faultspace.of_golden Faultspace.Bitflip_mem golden in
+  let reference =
+    Faultspace.scan ~provider:(Injector.replay golden) cell
+  in
+  check_scans_identical "mbox1/baseline domains -j 2" reference
+    (Engine.scan_exn
+       (Engine.run_spec_result ~backend:Pool.Domains ~jobs:2
+          (Spec.of_golden
+             ~policy:(Spec.make_policy ~shard_size:64 ())
+             golden)))
+
 (* The exact cycles gate: simulated cycles are deterministic, so the
    conduction cost of a fixed cell can be pinned with zero tolerance.
    The budget is the total over all exit paths of one plan session
@@ -255,7 +296,7 @@ let test_sync2_timeout_paths () =
    change that raises it has made every campaign dearer; a change that
    cuts it should lower the constant to the new total the failure
    message reports, so later changes cannot give the saving back. *)
-let flag1_mem_cycle_budget = 37_128_257
+let flag1_mem_cycle_budget = 32_557_489
 
 let test_flag1_cycle_budget () =
   let golden = Golden.run (Flag1.baseline ()) in
@@ -466,6 +507,10 @@ let suite =
         test_exit_path_counters;
       Alcotest.test_case "sync2/sum+dmr timeout paths: plan = replay" `Quick
         test_sync2_timeout_paths;
+      Alcotest.test_case "sync2/sum+dmr memo splices = replay" `Quick
+        test_sync2_memo_splices;
+      Alcotest.test_case "memo shared across domains = replay" `Quick
+        test_memo_shared_across_domains;
       Alcotest.test_case "flag1/baseline memory: simulated-cycle budget" `Quick
         test_flag1_cycle_budget;
       Alcotest.test_case "sync2/baseline registers: shifted splices = replay"

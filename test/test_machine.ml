@@ -349,6 +349,78 @@ let test_tracer_records () =
     [ (2, 4, 4); (3, 4, 1) ]
     (List.rev_map (fun (c, a, w, _) -> (c, a, w)) !events)
 
+(* ------------------------------------------------------------------ *)
+(* Exact state keys                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Emit serial byte 1, then branch on RAM byte 0 into one of two
+   equally long paths — one writes a detection event — and clear the
+   byte and the loaded register again.  Forked before the branch with
+   byte 0 flipped in one fork, both forks end at the same cycle and pc
+   with the same registers, RAM and serial output: they differ in
+   their event counts only. *)
+let key_program () =
+  let port p = Int32.of_int p in
+  program ~ram_size:256
+    [
+      Isa.Li (r 1, port Memmap.serial_port);
+      Isa.Li (r 2, 1l);
+      Isa.Sb (r 2, r 1, 0l);
+      Isa.Lb (r 3, Isa.r0, 0l);
+      Isa.Beq (r 3, Isa.r0, 8, Isa.Eq);
+      Isa.Li (r 4, port Memmap.detect_port);
+      Isa.Sw (r 2, r 4, 0l);
+      Isa.Jmp 11;
+      Isa.Li (r 4, port Memmap.detect_port);
+      Isa.Nop;
+      Isa.Nop;
+      Isa.Sb (Isa.r0, Isa.r0, 0l);
+      Isa.Li (r 3, 0l);
+      Isa.Halt;
+    ]
+
+let key m snap ~golden_output =
+  let buf = Bytes.create 1024 in
+  let len = Machine.state_key m snap ~golden_output buf in
+  Alcotest.(check bool) "key fits" true (len > 0);
+  Bytes.sub_string buf 0 len
+
+let test_state_key () =
+  let base = Machine.create (key_program ()) in
+  Machine.run_until base ~cycle:3;
+  let event = Machine.fork base in
+  Machine.flip_bit event 0;
+  Machine.run_until base ~cycle:10;
+  Machine.run_until event ~cycle:10;
+  Alcotest.(check int) "same pc" (Machine.pc base) (Machine.pc event);
+  Alcotest.(check int) "base has no event" 0 (Machine.event_count base);
+  Alcotest.(check int) "fork has one event" 1 (Machine.event_count event);
+  let snap = Machine.Snapshot.capture base in
+  let golden_output = "\001" in
+  let k = key base snap ~golden_output in
+  Alcotest.(check string) "identical state, equal keys" k
+    (key (Machine.fork base) snap ~golden_output);
+  let differs what m ?(golden_output = golden_output) () =
+    Alcotest.(check bool) what true (key m snap ~golden_output <> k)
+  in
+  let dead = Machine.fork base in
+  Machine.flip_bit dead (8 * 200);
+  differs "dead RAM byte" dead ();
+  let reg = Machine.fork base in
+  Machine.set_reg reg (r 5) 1l;
+  differs "register" reg ();
+  differs "serial prefix agreement" base ~golden_output:"\002" ();
+  differs "event count" event ();
+  (* A key that does not fit reports so instead of truncating. *)
+  let wide = Machine.fork base in
+  for b = 1 to 255 do
+    Machine.write_ram_byte wide b 0xFF
+  done;
+  Alcotest.(check int) "oversized key"
+    (-1)
+    (Machine.state_key wide snap ~golden_output
+       (Bytes.create 128))
+
 let suite =
   ( "machine",
     [
@@ -382,5 +454,6 @@ let suite =
       Alcotest.test_case "run_until" `Quick test_run_until;
       Alcotest.test_case "snapshot equivalence" `Quick test_snapshot_equivalence;
       Alcotest.test_case "snapshot isolation" `Quick test_snapshot_isolation;
+      Alcotest.test_case "exact state keys" `Quick test_state_key;
       Alcotest.test_case "tracer records RAM accesses" `Quick test_tracer_records;
     ] )
