@@ -1,14 +1,18 @@
-(* The benchmark harness: regenerates every table and figure of the paper
-   (see DESIGN.md's experiment index) and runs Bechamel micro-benchmarks
-   of the substrate.
+(* The paper harness: regenerates every table and figure of the paper
+   (see EXPERIMENTS.md and DESIGN.md's experiment index), plus the
+   checkpoint-plan differential gate [engine-checkpoint].
 
    Usage:
      dune exec bench/main.exe                 # everything
-     dune exec bench/main.exe -- table1 figure3 perf
+     dune exec bench/main.exe -- table1 figure3
 
-   Campaign-backed artifacts publish their cells to the engine's result
-   store under _artifacts/, so re-running reports is cheap; delete the
-   directory to force fresh campaigns. *)
+   Campaign-backed artifacts run on the engine's default domains backend
+   and publish their cells to the result store under _artifacts/, so
+   re-running reports is cheap; delete the directory to force fresh
+   campaigns.  [FI_BENCH_SMOKE=1 ... engine-checkpoint] checks plan =
+   replay on a small kernel and exits 1 unless both fault spaces are
+   bit-identical and the exit-path counters account for every
+   experiment. *)
 
 let cache_dir = "_artifacts"
 
@@ -223,42 +227,6 @@ let run_registers () =
          ("mutex1", Regspace.analyze (Mutex1.baseline ()));
        ])
 
-let run_engine_parallel () =
-  section
-    "ENGP | Parallel campaign engine: bin_sem2 serial vs backend × -j";
-  let golden = Golden.run (Bin_sem2.baseline ()) in
-  let serial, t_serial = time (fun () -> Scan.pruned golden) in
-  let runs =
-    List.concat_map
-      (fun backend ->
-        List.map
-          (fun jobs ->
-            let scan, t =
-              time (fun () ->
-                  Engine.scan_exn
-                    (Engine.run_spec_result ~backend ~jobs
-                       (Spec.of_golden golden)))
-            in
-            (backend, jobs, t, scan = serial))
-          [ 1; 2; 4 ])
-      [ Pool.Domains; Pool.Processes ]
-  in
-  let cores = Pool.default_jobs () in
-  Printf.printf "host cores          : %d\n" cores;
-  Printf.printf "experiments         : %d\n"
-    (Array.length serial.Scan.experiments);
-  Printf.printf "serial Scan.pruned  : %6.2f s\n" t_serial;
-  List.iter
-    (fun (backend, jobs, t, identical) ->
-      Printf.printf "%-9s -j %-2d      : %6.2f s  (speedup %.2fx, \
-                     bit-identical %b)\n"
-        (Pool.backend_tag backend) jobs t (t_serial /. t) identical)
-    runs;
-  if cores = 1 then
-    Printf.printf
-      "note: single-core host — parallel speedup is not observable here;\n\
-      \      the engine still shards, journals and merges identically.\n"
-
 (* [Faultspace.scan] of [cell] on a checkpoint plan, with the exit-path
    counters of the session it conducted on. *)
 let plan_scan (cell : Faultspace.cell) =
@@ -272,41 +240,26 @@ let plan_scan (cell : Faultspace.cell) =
   (scan, Injector.session_stats !session)
 
 (* Print a plan scan's exit-path counters.  Returns [false] unless they
-   account for every experiment of [scan]: the runs sum to its
-   experiments, and its Timeouts are exactly the proven, the
-   watchdog-bound and the memo-spliced Timeout runs. *)
+   account for every experiment of [scan] ({!Injector.check_accounting}). *)
 let print_exit_paths label (scan : Scan.t) (st : Injector.session_stats) =
-  let paths = Injector.exit_paths st in
   Printf.printf "%s exit paths   :       runs        cycles  cycles/run\n"
     label;
   List.iter
     (fun (name, (p : Injector.path_stats)) ->
       Printf.printf "  %-24s: %10d %13d %11.0f\n" name p.runs p.cycles
         (if p.runs = 0 then 0. else float p.cycles /. float p.runs))
-    paths;
+    (Injector.exit_paths st);
   Printf.printf "  %-24s: %10d failed %d (%d cycles)\n" "proof attempts"
     st.proof_attempts st.failed_proofs st.failed_proof_cycles;
   Printf.printf "  %-24s: %10d\n" "memo-splice timeouts" st.memo_timeouts;
-  let runs =
-    List.fold_left (fun n (_, (p : Injector.path_stats)) -> n + p.runs) 0 paths
-  in
-  let timeouts =
-    Array.fold_left
-      (fun n e -> if e.Scan.outcome = Outcome.Timeout then n + 1 else n)
-      0 scan.Scan.experiments
-  in
-  let ok =
-    runs = Array.length scan.Scan.experiments
-    && timeouts = st.loop_proof.runs + st.watchdog.runs + st.memo_timeouts
-  in
-  if not ok then
-    Printf.eprintf
-      "engine-checkpoint: %s exit-path counters do not account for the \
-       campaign (%d runs for %d experiments; %d timeouts vs %d proven + %d \
-       watchdog + %d memo-spliced)\n"
-      label runs (Array.length scan.Scan.experiments) timeouts
-      st.loop_proof.runs st.watchdog.runs st.memo_timeouts;
-  ok
+  match
+    Injector.check_accounting st
+      (Array.map (fun e -> e.Scan.outcome) scan.Scan.experiments)
+  with
+  | Ok () -> true
+  | Error msg ->
+      Printf.eprintf "engine-checkpoint: %s %s\n" label msg;
+      false
 
 let run_engine_checkpoint () =
   section
@@ -352,373 +305,6 @@ let run_engine_checkpoint () =
   end;
   if not (mem_counted && reg_counted) then exit 1
 
-let run_engine_fuzz () =
-  section
-    "ENGF | Susceptibility fuzzer throughput: programs/s and campaigns/s, \
-     domains vs processes";
-  let smoke = Sys.getenv_opt "FI_BENCH_SMOKE" <> None in
-  let budget = if smoke then 4 else 24 in
-  let variants = [ Delta.Sum_dmr; Delta.Dft 16 ] in
-  (* Generation throughput: seeded program construction through the
-     Mir.Check validity gate and a golden run, no campaigns. *)
-  let (), t_gen =
-    time (fun () ->
-        let master = Prng.create ~seed:2024L in
-        for _ = 1 to budget do
-          let prog = Gen.program (Prng.create ~seed:(Prng.next_int64 master)) in
-          ignore (Golden.run (Codegen.compile prog))
-        done)
-  in
-  (* Differential-hunt throughput: each program is one baseline campaign
-     plus one per variant, so the hunt conducts budget*(1+|variants|)
-     campaigns.  Shrinking is off: it measures the shrinker, not the
-     engine. *)
-  let hunt backend =
-    time (fun () ->
-        Delta.run ~backend ~jobs:2 ~variants ~shrink_budget:0 ~seed:2024L
-          ~budget ())
-  in
-  let h_dom, t_dom = hunt Pool.Domains in
-  let h_proc, t_proc = hunt Pool.Processes in
-  let campaigns = budget * (1 + List.length variants) in
-  let identical = h_dom.Delta.findings = h_proc.Delta.findings in
-  Printf.printf "programs generated  : %d  (%.1f programs/s)\n" budget
-    (float_of_int budget /. t_gen);
-  Printf.printf "campaigns per hunt  : %d\n" campaigns;
-  Printf.printf
-    "domains   -j 2      : %6.2f s  (%.1f campaigns/s, %d findings)\n" t_dom
-    (float_of_int campaigns /. t_dom)
-    (List.length h_dom.Delta.findings);
-  Printf.printf
-    "processes -j 2      : %6.2f s  (%.1f campaigns/s, %d findings)\n" t_proc
-    (float_of_int campaigns /. t_proc)
-    (List.length h_proc.Delta.findings);
-  Printf.printf "identical findings  : %b\n" identical;
-  if not identical then begin
-    Printf.eprintf
-      "engine-fuzz: domains and processes hunts disagree on findings\n";
-    exit 1
-  end
-
-let run_engine_supervision () =
-  section
-    "ENGS | Supervision overhead and healing cost: undisturbed vs crashing \
-     vs hanging workers";
-  let golden = Golden.run (Bin_sem2.baseline ()) in
-  let serial = Scan.pruned golden in
-  let jobs = 2 in
-  let supervised ?shard_timeout () =
-    Spec.make_policy ?shard_timeout ~max_retries:2 ~quarantine:true ()
-  in
-  let with_torture value f =
-    Unix.putenv Worker.torture_var value;
-    Fun.protect ~finally:(fun () -> Unix.putenv Worker.torture_var "") f
-  in
-  let run ?torture policy =
-    let snap = ref None in
-    let go () =
-      time (fun () ->
-          Engine.run_spec_result ~backend:Pool.Processes ~jobs
-            ~observe:(fun s -> snap := Some s)
-            (Spec.of_golden ~policy golden))
-    in
-    let result, t =
-      match torture with None -> go () | Some v -> with_torture v go
-    in
-    let retries, kills =
-      match !snap with
-      | Some s -> (s.Progress.retries, s.Progress.kills)
-      | None -> (0, 0)
-    in
-    (t, result.Engine.scan = serial, retries, kills)
-  in
-  (* Baseline: supervision off entirely — the seed engine's hot path. *)
-  let t_plain, ok_plain, _, _ = run Spec.default_policy in
-  (* Supervision armed but never triggered: the overhead claim. *)
-  let t_sup, ok_sup, r_sup, k_sup = run (supervised ~shard_timeout:60. ()) in
-  (* Every first worker crashes once: bounded retry heals in place. *)
-  let t_crash, ok_crash, r_crash, _ =
-    run ~torture:"exit:0:0" (supervised ())
-  in
-  (* One worker hangs: deadline kill + retry heals in place. *)
-  let t_hang, ok_hang, _, k_hang =
-    run ~torture:"hang:0:0" (supervised ~shard_timeout:0.5 ())
-  in
-  let overhead_pct = (t_sup -. t_plain) /. t_plain *. 100. in
-  Printf.printf "unsupervised        : %6.2f s  (bit-identical %b)\n" t_plain
-    ok_plain;
-  Printf.printf "supervised, healthy : %6.2f s  (overhead %+.1f%%, \
-                 bit-identical %b, retries %d, kills %d)\n"
-    t_sup overhead_pct ok_sup r_sup k_sup;
-  Printf.printf "crashing worker     : %6.2f s  (healed %b, retries %d)\n"
-    t_crash ok_crash r_crash;
-  Printf.printf "hung worker         : %6.2f s  (healed %b, kills %d)\n"
-    t_hang ok_hang k_hang
-
-let run_engine_net () =
-  section
-    "ENGN | Distributed engine: bin_sem2 over a loopback worker daemon vs \
-     the Processes backend";
-  let golden = Golden.run (Bin_sem2.baseline ()) in
-  let serial, t_serial = time (fun () -> Scan.pruned golden) in
-  let jobs = 2 in
-  let procs, t_procs =
-    time (fun () ->
-        Engine.scan_exn
-          (Engine.run_spec_result ~backend:Pool.Processes ~jobs
-             (Spec.of_golden golden)))
-  in
-  match Remote.spawn_daemon ~workers:jobs () with
-  | Error e -> Printf.printf "engine-net skipped: no daemon (%s)\n" e
-  | Ok (pid, addr) ->
-      Fun.protect
-        ~finally:(fun () -> Remote.kill_daemon pid)
-        (fun () ->
-          let net, t_net =
-            time (fun () ->
-                Engine.scan_exn
-                  (Engine.run_spec_result
-                     ~backend:(Pool.Sockets [ Addr.to_string addr ])
-                     ~jobs (Spec.of_golden golden)))
-          in
-          let identical = net = serial && procs = serial in
-          let overhead_pct = (t_net -. t_procs) /. t_procs *. 100. in
-          Printf.printf "serial Scan.pruned      : %6.2f s\n" t_serial;
-          Printf.printf "processes -j %d          : %6.2f s\n" jobs t_procs;
-          Printf.printf
-            "sockets loopback -j %d   : %6.2f s  (overhead vs processes \
-             %+.1f%%, bit-identical %b)\n"
-            jobs t_net overhead_pct identical)
-
-let run_engine_cache () =
-  section
-    "ENGC | Result cache: bin_sem2 cold campaign vs warm replay from the \
-     content-addressed store, plus service cache-hit dispatch latency";
-  let dir = Filename.temp_file "fibench" ".store" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      (try
-         Array.iter
-           (fun name -> Sys.remove (Filename.concat dir name))
-           (Sys.readdir dir)
-       with Sys_error _ -> ());
-      try Sys.rmdir dir with Sys_error _ -> ())
-    (fun () ->
-      let golden = Golden.run (Bin_sem2.baseline ()) in
-      let policy = Spec.make_policy ~catalogue:dir ~cache:dir () in
-      let jobs = 2 in
-      let run () =
-        Engine.run_spec_result ~backend:Pool.Domains ~jobs
-          (Spec.of_golden ~policy golden)
-      in
-      let cold, t_cold = time run in
-      let warm, t_warm = time run in
-      let identical = cold.Engine.scan = warm.Engine.scan in
-      let speedup = t_cold /. t_warm in
-      Printf.printf "cold campaign -j %d      : %6.2f s\n" jobs t_cold;
-      Printf.printf
-        "warm replay (cache hit) : %6.3f s  (speedup %.0fx, hit %b, \
-         bit-identical %b)\n"
-        t_warm speedup warm.Engine.cached identical;
-      (* Cache-hit dispatch latency through the service front door: the
-         store is warm, so each submit is answered without scheduling a
-         single shard. *)
-      let config =
-        { Service.default_config with Service.artifacts = dir; jobs }
-      in
-      match Service.spawn_daemon ~config () with
-      | Error e -> Printf.printf "service latency skipped: no daemon (%s)\n" e
-      | Ok (pid, addr) ->
-          Fun.protect
-            ~finally:(fun () -> Service.kill_daemon pid)
-            (fun () ->
-              let cell = Service.cell_of_spec (Spec.of_golden ~policy golden) in
-              let hit () =
-                match Service.submit ~addr [ cell ] with
-                | Ok [ r ] when r.Service.r_cached -> ()
-                | Ok _ -> failwith "service returned a non-hit"
-                | Error msg -> failwith msg
-              in
-              hit () (* connect-path warmup *);
-              let rounds = 10 in
-              let (), t =
-                time (fun () ->
-                    for _ = 1 to rounds do
-                      hit ()
-                    done)
-              in
-              Printf.printf
-                "service cache-hit dispatch: %6.1f ms/submission (%d rounds)\n"
-                (t /. float_of_int rounds *. 1000.)
-                rounds))
-
-let run_engine_faultspace () =
-  section
-    "ENGM | Fault-model throughput: experiments/second per pluggable model \
-     through the shared engine";
-  let smoke = Sys.getenv_opt "FI_BENCH_SMOKE" <> None in
-  let program = if smoke then Mbox1.baseline () else Bin_sem2.baseline () in
-  let golden = Golden.run program in
-  let rt = Regspace.analyze program in
-  let models =
-    [ Faultspace.Bitflip_mem; Faultspace.Bitflip_reg; Faultspace.burst 3;
-      Faultspace.burst ~row:2 3; Faultspace.Skip ]
-  in
-  List.iter
-    (fun model ->
-      let spec =
-        match model with
-        | Faultspace.Bitflip_reg -> Spec.of_regspace rt
-        | m -> Spec.of_golden ~model:m golden
-      in
-      let scan, seconds =
-        time (fun () -> Engine.scan_exn (Engine.run_spec_result ~jobs:0 spec))
-      in
-      let experiments = Array.length scan.Scan.experiments in
-      let rate = if seconds > 0. then float experiments /. seconds else 0. in
-      Printf.printf "%-10s : %7d experiments  %6.2f s  %9.0f exp/s\n"
-        (Faultspace.tag model) experiments seconds rate)
-    models
-
-let run_matrix_parallel () =
-  section
-    "ENGM | Matrix engine: paper pairs back-to-back serial vs one engine \
-     matrix";
-  (* Back-to-back serial conductors: the pre-matrix way of covering the
-     Figure-2 cells. *)
-  let serial, t_serial =
-    time (fun () ->
-        List.concat_map
-          (fun (_, baseline, hardened) ->
-            [ Scan.pruned (Golden.run (baseline ()));
-              Scan.pruned ~variant:"sum+dmr" (Golden.run (hardened ())) ])
-          Suite.paper_pairs)
-  in
-  let runs =
-    List.map
-      (fun jobs ->
-        let scans, t =
-          time (fun () ->
-              List.map Engine.scan_exn
-                (Engine.run_matrix_results ~jobs (Suite.paper_specs ())))
-        in
-        (jobs, t, List.for_all2 (fun a b -> a = b) scans serial))
-      [ 1; 2; 4 ]
-  in
-  let cores = Pool.default_jobs () in
-  let experiments =
-    List.fold_left (fun n s -> n + Array.length s.Scan.experiments) 0 serial
-  in
-  Printf.printf "host cores          : %d\n" cores;
-  Printf.printf "matrix cells        : %d (%d experiments)\n"
-    (List.length serial) experiments;
-  Printf.printf "back-to-back serial : %6.2f s\n" t_serial;
-  List.iter
-    (fun (jobs, t, identical) ->
-      Printf.printf
-        "matrix -j %-2d        : %6.2f s  (speedup %.2fx, bit-identical %b)\n"
-        jobs t (t_serial /. t) identical)
-    runs;
-  if cores = 1 then
-    Printf.printf
-      "note: single-core host — parallel speedup is not observable here;\n\
-      \      the matrix still shares one pool and merges identically.\n"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                          *)
-(* ------------------------------------------------------------------ *)
-
-let perf_tests () =
-  let open Bechamel in
-  let hi_golden = Golden.run (Hi.program ()) in
-  let bin_image = Bin_sem2.baseline () in
-  let bin_golden = Golden.run bin_image in
-  let rng = Prng.create ~seed:1L in
-  let sample_words =
-    Array.init 256 (fun _ -> Int64.to_int32 (Prng.next_int64 rng))
-  in
-  [
-    (* One Test.make per reproduced artifact's dominant kernel, plus the
-       substrate primitives. *)
-    Test.make ~name:"T1-poisson-pmf"
-      (Staged.stage (fun () -> ignore (Poisson.pmf ~lambda:1.66e-14 1)));
-    Test.make ~name:"F1-defuse-analysis"
-      (Staged.stage (fun () -> ignore (Defuse.analyze bin_golden.Golden.trace)));
-    Test.make ~name:"F3-hi-full-scan"
-      (Staged.stage (fun () -> ignore (Scan.pruned hi_golden)));
-    Test.make ~name:"F2-golden-run-bin-sem2"
-      (Staged.stage (fun () ->
-           let m = Machine.create bin_image in
-           ignore (Machine.run m ~limit:10_000_000)));
-    Test.make ~name:"F2-one-experiment"
-      (Staged.stage
-         (let coord =
-            { Coordspace.cycle = bin_golden.Golden.cycles / 2; bit = 64 }
-          in
-          fun () -> ignore (Injector.run_at bin_golden coord)));
-    Test.make ~name:"P2-sampling-256"
-      (Staged.stage (fun () ->
-           let rng = Prng.create ~seed:7L in
-           ignore (Sampler.uniform_raw rng ~samples:256 hi_golden)));
-    Test.make ~name:"substrate-encode-decode"
-      (Staged.stage (fun () ->
-           Array.iter
-             (fun w ->
-               match Encoding.decode w with
-               | Ok i -> ignore (Encoding.encode i)
-               | Error _ -> ())
-             sample_words));
-    Test.make ~name:"substrate-snapshot-restore"
-      (Staged.stage
-         (let m = Machine.create bin_image in
-          Machine.run_until m ~cycle:1000;
-          let snap = Machine.Snapshot.capture m in
-          fun () -> ignore (Machine.Snapshot.restore snap ~tracer:None)));
-  ]
-
-let run_perf () =
-  section "PERF | Bechamel micro-benchmarks of the substrate";
-  let open Bechamel in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"fipitfalls" ~fmt:"%s %s" (perf_tests ()))
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let t =
-    Table.create
-      ~columns:
-        [ ("benchmark", Table.Left); ("time/run", Table.Right);
-          ("r^2", Table.Right) ]
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      let estimate =
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.sprintf "%.1f ns" est
-        | Some _ | None -> "n/a"
-      in
-      let r2 =
-        match Analyze.OLS.r_square result with
-        | Some r -> Printf.sprintf "%.4f" r
-        | None -> "n/a"
-      in
-      rows := (name, estimate, r2) :: !rows)
-    results;
-  List.iter
-    (fun (name, estimate, r2) -> Table.row t [ name; estimate; r2 ])
-    (List.sort compare !rows);
-  Table.print t
-
 (* ------------------------------------------------------------------ *)
 (* Driver                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -736,25 +322,11 @@ let artifacts =
     ("ratios", run_ratios);
     ("ablation", run_ablation);
     ("registers", run_registers);
-    ("engine-parallel", run_engine_parallel);
     ("engine-checkpoint", run_engine_checkpoint);
-    ("engine-fuzz", run_engine_fuzz);
-    ("engine-supervision", run_engine_supervision);
-    ("engine-net", run_engine_net);
-    ("engine-cache", run_engine_cache);
-    ("engine-faultspace", run_engine_faultspace);
-    ("matrix-parallel", run_matrix_parallel);
     ("optimization", run_optimization);
-    ("perf", run_perf);
   ]
 
 let () =
-  (* If this process was exec'd as a campaign worker (the engine's
-     process backend re-execs the hosting binary) or as a remote-worker
-     daemon (the sockets backend does the same), serve and exit. *)
-  Worker.guard ();
-  Remote.guard ();
-  Service.guard ();
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as names) -> names

@@ -109,19 +109,6 @@ let fault_model_arg =
     & opt fault_model_conv Faultspace.Bitflip_mem
     & info [ "fault-model" ] ~docv:"MODEL" ~doc)
 
-(* The legacy --registers flag is an alias for --fault-model reg; naming
-   both (with different models) is a contradiction, not a preference. *)
-let model_of ~registers (fault_model : Faultspace.model) =
-  match (registers, fault_model) with
-  | false, m -> m
-  | true, (Faultspace.Bitflip_mem | Faultspace.Bitflip_reg) ->
-      Faultspace.Bitflip_reg
-  | true, m ->
-      or_die
-        (Error
-           (Printf.sprintf "--registers conflicts with --fault-model %s"
-              (Faultspace.tag m)))
-
 let engine_opts_term =
   let backend =
     let doc =
@@ -505,23 +492,15 @@ let campaign_cmd =
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Save results as CSV.")
   in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No progress.") in
-  let registers =
-    Arg.(
-      value & flag
-      & info [ "registers" ]
-          ~doc:
-            "Campaign over the register fault space (Section VI-B) instead \
-             of main memory — an alias for $(b,--fault-model reg).")
-  in
   let breakdown =
     Arg.(
       value & flag
       & info [ "breakdown" ]
           ~doc:"Also attribute the failure mass to data regions.")
   in
-  let action spec out quiet registers breakdown opts =
+  let action spec out quiet breakdown opts =
     let image = or_die (load_program spec) in
-    let model = model_of ~registers opts.fault_model in
+    let model = opts.fault_model in
     let policy = policy_of opts in
     let variant = variant_of_program_spec spec in
     let campaign_spec =
@@ -584,7 +563,7 @@ let campaign_cmd =
   Cmd.v
     (Cmd.info "campaign" ~doc:"Run a full pruned fault-injection campaign.")
     Term.(
-      const action $ program_arg $ out $ quiet $ registers $ breakdown
+      const action $ program_arg $ out $ quiet $ breakdown
       $ engine_opts_term)
 
 (* ------------------------------------------------------------------ *)
@@ -600,14 +579,6 @@ let matrix_cmd =
             "Only the paper's Figure 2 pairs (bin_sem2 and sync2, baseline \
              vs SUM+DMR) instead of the whole suite.")
   in
-  let registers =
-    Arg.(
-      value & flag
-      & info [ "registers" ]
-          ~doc:"Campaign every cell over the register fault space \
-                (Section VI-B) instead of main memory — an alias for \
-                $(b,--fault-model reg).")
-  in
   let outdir =
     Arg.(
       value
@@ -619,8 +590,8 @@ let matrix_cmd =
   let sanitize label =
     String.map (function '/' | '@' -> '-' | c -> c) label
   in
-  let action pairs registers outdir quiet opts =
-    let model = model_of ~registers opts.fault_model in
+  let action pairs outdir quiet opts =
+    let model = opts.fault_model in
     let policy = policy_of opts in
     let specs =
       (if pairs then Suite.paper_specs ~model ~policy ()
@@ -689,7 +660,7 @@ let matrix_cmd =
           and aggregate progress.  With --resume, every cell with a \
           catalogued journal picks up where it left off.")
     Term.(
-      const action $ pairs $ registers $ outdir $ quiet $ engine_opts_term)
+      const action $ pairs $ outdir $ quiet $ engine_opts_term)
 
 (* ------------------------------------------------------------------ *)
 (* sample                                                             *)
@@ -1210,18 +1181,10 @@ let submit_cmd =
           ~doc:"Submit only the paper's Figure 2 pairs instead of the \
                 whole suite.")
   in
-  let registers =
-    Arg.(
-      value & flag
-      & info [ "registers" ]
-          ~doc:"Campaign over the register fault space instead of main \
-                memory — an alias for $(b,--fault-model reg).")
-  in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No progress.") in
-  let action addr pairs registers quiet secret_file fault_model =
+  let action addr pairs quiet secret_file model =
     let addr = or_die (Addr.parse addr) in
     let secret = svc_secret_of secret_file in
-    let model = model_of ~registers fault_model in
     let specs =
       if pairs then Suite.paper_specs ~model ()
       else Suite.spec_matrix ~model ()
@@ -1272,7 +1235,7 @@ let submit_cmd =
           instantly from its result store, marked $(b,cache) in the \
           origin column.")
     Term.(
-      const action $ svc_addr_arg $ pairs $ registers $ quiet
+      const action $ svc_addr_arg $ pairs $ quiet
       $ svc_secret_arg $ fault_model_arg)
 
 let status_cmd =

@@ -626,6 +626,26 @@ let exit_paths st =
     ("memo splice", st.memo_splice);
   ]
 
+let check_accounting st outcomes =
+  let runs = List.fold_left (fun n (_, p) -> n + p.runs) 0 (exit_paths st) in
+  let timeouts =
+    Array.fold_left
+      (fun n o -> if o = Outcome.Timeout then n + 1 else n)
+      0 outcomes
+  in
+  let experiments = Array.length outcomes in
+  if runs = experiments
+     && timeouts = st.loop_proof.runs + st.watchdog.runs + st.memo_timeouts
+  then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "exit-path counters do not account for the campaign (%d runs for \
+          %d experiments; %d timeouts vs %d proven + %d watchdog + %d \
+          memo-spliced)"
+         runs experiments timeouts st.loop_proof.runs st.watchdog.runs
+         st.memo_timeouts)
+
 (* Rolling [hop_min] cycles costs about as much as one checkpoint
    restore; hop only when the restore actually skips work. *)
 let hop_min = 64

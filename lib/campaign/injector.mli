@@ -160,6 +160,13 @@ val session_stats : session -> session_stats
 val exit_paths : session_stats -> (string * path_stats) list
 (** The six paths in declaration order, named for tables. *)
 
+val check_accounting : session_stats -> Outcome.t array -> (unit, string) result
+(** [check_accounting st outcomes] checks that [st] accounts for the
+    experiments whose outcomes are [outcomes]: the runs of all six paths
+    sum to the experiments, and the [Timeout] outcomes are exactly the
+    [loop_proof] plus [watchdog] runs plus [memo_timeouts].  [Error]
+    names both sides of the identity that failed. *)
+
 val run_at : Golden.t -> Coordspace.coord -> Outcome.t
 (** One-shot experiment at an arbitrary coordinate: a plan-of-one,
     conducted on a throwaway {!replay} session (building a checkpoint

@@ -148,14 +148,11 @@ let setup cell ~progress =
     match policy.Spec.acceleration.Spec.cache with
     | None -> None
     | Some _ ->
-        let image =
-          Digest.to_hex
-            (Digest.string
-               (Marshal.to_string
-                  cell.Runcell.space.Faultspace.golden.Golden.program []))
-        in
         Some
-          (Cache.cell_key ~image
+          (Cache.cell_key
+             ~image:
+               (Runcell.image_digest
+                  cell.Runcell.space.Faultspace.golden.Golden.program)
              ~space:(Faultspace.tag cell.Runcell.spec.Spec.model)
              ~limit:cell.Runcell.spec.Spec.limit
              ~shard_size:policy.Spec.sharding.Spec.shard_size ~weighted:policy.Spec.sharding.Spec.weighted)

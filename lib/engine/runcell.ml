@@ -65,15 +65,23 @@ let analyse (spec : Spec.t) =
 (* Campaign identity and journal payloads                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The fault model's [Faultspace.tag] leads.  The legacy models keep
-   their pre-subsystem tags ("mem"/"reg"), so every fingerprint — and
-   therefore every journal and cache key — they ever produced stays
-   byte-identical.  The classes are hashed in array order. *)
+(* The program image's digest: MD5 of its marshalled [Program.t]
+   (code, ROM, RAM layout and initial contents).  Two programs that
+   agree on name, runtime and class list but differ in one instruction
+   get different digests, so neither a journal nor a result-store entry
+   of one ever serves the other. *)
+let image_digest (program : Program.t) =
+  Digest.to_hex (Digest.string (Marshal.to_string program []))
+
+(* The fault model's [Faultspace.tag] leads, the image digest follows.
+   The classes are hashed in array order. *)
 let fingerprint_cell { spec; space; _ } ~(plan : Shard.plan) =
   let golden = space.Faultspace.golden in
   let classes = space.Faultspace.classes in
-  let buf = Buffer.create (64 + (Array.length classes * 12)) in
+  let buf = Buffer.create (96 + (Array.length classes * 12)) in
   Buffer.add_string buf (Faultspace.tag spec.Spec.model);
+  Buffer.add_char buf '|';
+  Buffer.add_string buf (image_digest golden.Golden.program);
   Buffer.add_char buf '|';
   Buffer.add_string buf golden.Golden.program.Program.name;
   Buffer.add_string buf
@@ -93,27 +101,21 @@ let plan_of_policy (policy : Spec.policy) classes =
     ?shard_size:policy.Spec.sharding.Spec.shard_size
     ~weighted:policy.Spec.sharding.Spec.weighted classes
 
-(* The header's version string is "v2" for the two legacy models —
-   keeping their journals byte-identical to pre-subsystem runs — and
-   "v3" for every model added by the Faultspace subsystem.  The field
-   layout is identical either way; the [space=] value is the model tag. *)
-(* The legacy models keep the "v2" header, every other model writes
-   "v3".  Folding the two would save this one conditional but change
-   the header bytes of every mem/reg journal, and a cache hit requires
-   header equality, so every published result-store entry would stop
-   hitting.  The split stays. *)
+(* One version string for every fault model; the [space=] value is the
+   model tag and [image=] the program image's digest, so a resume
+   against a journal of another program (even one with the same name
+   and class list) is refused. *)
 let header_payload { spec; space; _ } ~(plan : Shard.plan) ~fp =
-  let model = spec.Spec.model in
   let golden = space.Faultspace.golden in
   Printf.sprintf
-    "fi-engine %s space=%s sizing=%s cycles=%d ram_bytes=%d classes=%d \
-     shard_size=%d shards=%d fingerprint=%s name=%s"
-    (if Faultspace.legacy model then "v2" else "v3")
-    (Faultspace.tag model)
+    "fi-engine v4 space=%s sizing=%s cycles=%d ram_bytes=%d classes=%d \
+     shard_size=%d shards=%d image=%s fingerprint=%s name=%s"
+    (Faultspace.tag spec.Spec.model)
     (Shard.sizing_tag plan.Shard.sizing)
     golden.Golden.cycles space.Faultspace.ram_bytes plan.Shard.classes_total
     plan.Shard.shard_size
     (Array.length plan.Shard.shards)
+    (image_digest golden.Golden.program)
     (Crc32.to_hex fp) golden.Golden.program.Program.name
 
 let key_int key tok =
@@ -124,7 +126,7 @@ let key_int key tok =
   else None
 
 let header_shard_count header =
-  (* "... shards=N ..." somewhere in a v2/v3 header payload. *)
+  (* "... shards=N ..." somewhere in a header payload. *)
   List.find_map (key_int "shards") (String.split_on_char ' ' header)
 
 let header_model_tag header =

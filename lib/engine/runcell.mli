@@ -38,12 +38,17 @@ val analyse : Spec.t -> cell
     @raise Invalid_argument if the spec's model contradicts its analysed
     source. *)
 
+val image_digest : Program.t -> string
+(** Hex MD5 of the marshalled program image (code, ROM, RAM layout and
+    initial contents) — the one image identity shared by
+    {!fingerprint_cell}, {!header_payload} and the result store's
+    {!Cache.cell_key}. *)
+
 val fingerprint_cell : cell -> plan:Shard.plan -> int
 (** CRC-32 campaign identity over the fault-model tag
-    ({!Faultspace.tag}), program name, golden runtime, row footprint,
-    shard geometry/sizing and full class list, in array order.  The
-    legacy models keep their pre-subsystem tags, so their fingerprints
-    are byte-identical to before. *)
+    ({!Faultspace.tag}), the {!image_digest}, program name, golden
+    runtime, row footprint, shard geometry/sizing and full class list,
+    in array order. *)
 
 val plan_of_policy : Spec.policy -> Defuse.byte_class array -> Shard.plan
 (** The shard plan a policy prescribes for a class list — the single
@@ -51,7 +56,12 @@ val plan_of_policy : Spec.policy -> Defuse.byte_class array -> Shard.plan
     worker processes so both always agree on shard ids. *)
 
 val header_payload : cell -> plan:Shard.plan -> fp:int -> string
-(** The campaign journal's header record. *)
+(** The campaign journal's header record:
+    [fi-engine v4 space=<tag> sizing=<count|weight> cycles=<n>
+    ram_bytes=<n> classes=<n> shard_size=<n> shards=<n> image=<md5>
+    fingerprint=<crc32> name=<program>].  A resume requires byte
+    equality, so a journal of another program image, fault model or
+    shard geometry raises {!Journal_mismatch}. *)
 
 val record_payload : Shard.t -> string -> string
 (** One journal record: [shard=<id> outcomes=<8×classes chars>]. *)

@@ -87,10 +87,6 @@ let of_tag s =
           | _ -> fail ()))
   | _ -> fail ()
 
-let legacy = function
-  | Bitflip_mem | Bitflip_reg -> true
-  | Burst _ | Skip -> false
-
 type cell = {
   golden : Golden.t;
   classes : Defuse.byte_class array;

@@ -58,9 +58,7 @@ val tag : model -> string
 (** The stable fingerprint tag: ["mem"], ["reg"], ["burst<w>"],
     ["burst<w>r<s>"], ["skip"].  Recorded in journal fingerprints,
     journal headers and result-cache keys — two campaigns with different
-    tags never cross-resume and never share cache entries.  The legacy
-    models keep their pre-subsystem tags, so their fingerprints, journals
-    and cache keys are byte-identical to before. *)
+    tags never cross-resume and never share cache entries. *)
 
 val of_tag : string -> (model, string) result
 (** Parse a {!tag} back (the CLI's [--fault-model] parser); [Error]
@@ -68,11 +66,6 @@ val of_tag : string -> (model, string) result
 
 val describe : model -> string
 (** One-line human description, for reports and [--help]. *)
-
-val legacy : model -> bool
-(** [true] for {!Bitflip_mem}/{!Bitflip_reg} — the models whose journal
-    headers keep the pre-subsystem ["fi-engine v2"] version string (new
-    models write ["fi-engine v3"], see {!DESIGN.md} §15). *)
 
 val known : (string * string) list
 (** [(tag form, description)] pairs for help output. *)

@@ -175,18 +175,12 @@ let total_cycles st =
 (* Every run ends on exactly one path, and the Timeouts are exactly the
    proven, the watchdog-bound and the memo-spliced Timeout runs. *)
 let check_accounting msg outcomes (st : Injector.session_stats) =
-  let runs =
-    List.fold_left
-      (fun n (_, (p : Injector.path_stats)) -> n + p.runs)
-      0 (Injector.exit_paths st)
-  in
-  Alcotest.(check int)
-    (msg ^ ": runs = experiments")
-    (Array.length outcomes) runs;
-  Alcotest.(check int)
-    (msg ^ ": timeouts = loop proof + watchdog + memo-splice timeouts")
-    (count Outcome.Timeout outcomes)
-    (st.loop_proof.runs + st.watchdog.runs + st.memo_timeouts);
+  Alcotest.(check (result unit string))
+    (msg
+   ^ ": runs = experiments, timeouts = loop proof + watchdog + memo-splice \
+      timeouts")
+    (Ok ())
+    (Injector.check_accounting st outcomes);
   Alcotest.(check bool)
     (msg ^ ": memo-splice timeouts within the memo-splice runs")
     true

@@ -29,17 +29,12 @@ let test_tags () =
     [ Faultspace.Bitflip_mem; Faultspace.Bitflip_reg; Faultspace.burst 2;
       Faultspace.burst 8; Faultspace.burst ~row:2 3; Faultspace.burst ~row:7 4;
       Faultspace.Skip ];
-  (* The legacy tags are load-bearing: journal fingerprints and cache
-     keys of pre-subsystem campaigns must stay byte-identical. *)
+  (* The tags are load-bearing: they are part of journal fingerprints,
+     journal headers and result-store keys. *)
   Alcotest.(check string) "mem tag" "mem" (Faultspace.tag Faultspace.Bitflip_mem);
   Alcotest.(check string) "reg tag" "reg" (Faultspace.tag Faultspace.Bitflip_reg);
   Alcotest.(check string) "burst tag" "burst3r2"
     (Faultspace.tag (Faultspace.burst ~row:2 3));
-  Alcotest.(check bool) "legacy split" true
-    (Faultspace.legacy Faultspace.Bitflip_mem
-    && Faultspace.legacy Faultspace.Bitflip_reg
-    && (not (Faultspace.legacy (Faultspace.burst 2)))
-    && not (Faultspace.legacy Faultspace.Skip));
   List.iter
     (fun bad ->
       match Faultspace.of_tag bad with

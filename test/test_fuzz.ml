@@ -136,6 +136,20 @@ let test_hunt_finds () =
         (Delta.is_dilution ~baseline:f.Delta.baseline f.Delta.hardened))
     hunt.Delta.findings
 
+(* The hunt is backend-independent: the same seed and budget mine the
+   same findings whether its campaigns run on domains or on worker
+   processes.  Shrinking is off; it conducts nothing the hunt does not. *)
+let test_hunt_backends_agree () =
+  let hunt backend =
+    (Delta.run ~backend ~jobs:2 ~variants:[ Delta.Dft 16 ] ~shrink_budget:0
+       ~seed:1007L ~budget:2 ())
+      .Delta.findings
+  in
+  let domains = hunt Pool.Domains in
+  Alcotest.(check bool) "domains hunt finds something" true (domains <> []);
+  Alcotest.(check bool) "domains findings = processes findings" true
+    (domains = hunt Pool.Processes)
+
 let test_shrink_sound () =
   let hunt = Lazy.force hunt_result in
   match hunt.Delta.findings with
@@ -211,6 +225,8 @@ let suite =
       Alcotest.test_case "predicate: exact integers" `Quick
         test_coverage_improves_exact;
       Alcotest.test_case "hunt: finds dilution cells" `Slow test_hunt_finds;
+      Alcotest.test_case "hunt: domains = processes" `Quick
+        test_hunt_backends_agree;
       Alcotest.test_case "shrink: sound" `Slow test_shrink_sound;
       Alcotest.test_case "corpus: round-trip + store" `Slow
         test_corpus_roundtrip_and_store;

@@ -406,6 +406,46 @@ let test_catalogue_resume_by_fingerprint () =
           Alcotest.(check int) "zero conducted on complete journal"
             s.Progress.classes_total s.Progress.resumed_classes)
 
+(* A copy of Hi whose instruction 7 prints msg[0] instead of msg[1].
+   Name, golden runtime, RAM and class list equal the original's, so
+   only the program image tells the two campaigns apart. *)
+let hi_edited () =
+  let p = Hi.program () in
+  let code = Array.copy p.Program.code in
+  code.(6) <- Isa.Sb (Isa.reg 4, Isa.reg 7, 0l);
+  { p with Program.code }
+
+let test_journal_bound_to_image () =
+  let edited = Golden.run (hi_edited ()) in
+  let reference = Scan.pruned edited in
+  let count o =
+    Array.fold_left
+      (fun n e -> if e.Scan.outcome = o then n + 1 else n)
+      0 reference.Scan.experiments
+  in
+  Alcotest.(check (pair int int))
+    "edited reference: 8 No_effect + 8 SDC" (8, 8)
+    (count Outcome.No_effect, count Outcome.Sdc);
+  let run ~policy golden =
+    Engine.scan_exn
+      (Engine.run_spec_result ~jobs:1 (Spec.of_golden ~policy golden))
+  in
+  with_temp_file (fun path ->
+      ignore
+        (run ~policy:(Spec.make_policy ~journal:path ()) (Lazy.force hi_golden));
+      match
+        run ~policy:(Spec.make_policy ~journal:path ~resume:true ()) edited
+      with
+      | _ -> Alcotest.fail "edited program resumed the original's journal"
+      | exception Engine.Journal_mismatch _ -> ());
+  with_temp_dir (fun dir ->
+      let policy = Spec.make_policy ~catalogue:dir ~resume:true () in
+      check_scans_identical "original through the catalogue"
+        (Lazy.force hi_serial)
+        (run ~policy (Lazy.force hi_golden));
+      check_scans_identical "edited through the catalogue = its reference"
+        reference (run ~policy edited))
+
 let test_resume_needs_journal_or_catalogue () =
   let spec =
     Spec.of_golden
@@ -467,6 +507,8 @@ let suite =
       Alcotest.test_case "catalogue roundtrip" `Quick test_catalogue_roundtrip;
       Alcotest.test_case "catalogue resume by fingerprint" `Quick
         test_catalogue_resume_by_fingerprint;
+      Alcotest.test_case "journal bound to program image" `Quick
+        test_journal_bound_to_image;
       Alcotest.test_case "resume requires journal or catalogue" `Quick
         test_resume_needs_journal_or_catalogue;
       Alcotest.test_case "paper matrix = serial cells" `Slow
